@@ -17,20 +17,26 @@ from .knn import DistanceMetric
 def parse_k_list(text: str) -> list[int]:
     """Comma-separated integers; 'a-b' spans are inclusive (e.g. '1-150,200')."""
     values: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            values.extend(range(int(lo), int(hi) + 1))
-        else:
-            values.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if "-" in part[1:]:
+                lo, hi = part.split("-", 1)
+                values.extend(range(int(lo), int(hi) + 1))
+            else:
+                values.append(int(part))
+    except ValueError:
+        raise ConfigError(f"k list {text!r} must be integers or 'a-b' spans") from None
     if not values:
         raise ConfigError(f"empty k list: {text!r}")
     return values
 
 
 def _parse_rates(text: str) -> list[float]:
-    return [float(v) for v in text.split(",")]
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"dropout list {text!r} is not comma-separated numbers") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,9 +25,10 @@ Checkpoint format (version 1, all little-endian)
         values       float32 raw (rank 0 means a single scalar)
     checksum         uint64   first 8 bytes of SHA-256 over all preceding bytes
 
-Adam moments are stored as "<name>.m"/"<name>.v" tensors and the step
-counter as a rank-0 tensor named "step", so a checkpoint resumes training
-exactly. Loading verifies magic, version, checksum, and spec digest, in
+The tensors are the weights and batch-norm moving statistics, the Adam
+moments as "<name>.m"/"<name>.v" and the step counter as a rank-0 tensor
+"step". No PRNG state is stored and nothing resumes training from a
+checkpoint. Loading verifies magic, version, checksum, and spec digest, in
 that order, and fails with a distinct message for each.
 """
 
@@ -49,7 +50,6 @@ from .errors import ConfigError, DataError, IntegrityError
 from .imaging import decode_image, extract_histogram_features, extract_raw_features, image_to_tensor
 from .knn import DistanceMetric, k_sweep
 from .nn import (
-    _TRAINABLE,
     NetworkSpec,
     ParamState,
     evaluate,
@@ -114,13 +114,11 @@ def _write_json(path, payload: dict) -> None:
 # Dataset -> arrays
 # --------------------------------------------------------------------------
 
-def extract_feature_matrix(dataset: LabeledDataset, kind: str, bins: int = 8):
-    """(features, labels, skipped) for every decodable image in the dataset.
+def _decode_each(dataset: LabeledDataset, convert):
+    """(stacked convert(image) rows, labels, skipped) over the decodable images.
 
     Unreadable or malformed files are skipped and reported, not fatal.
     """
-    if kind not in ("raw_pixel", "hsv_histogram"):
-        raise ConfigError(f"unknown feature kind {kind!r}")
     rows, labels, skipped = [], [], []
     for item in dataset.items:
         try:
@@ -128,30 +126,25 @@ def extract_feature_matrix(dataset: LabeledDataset, kind: str, bins: int = 8):
         except (DataError, OSError) as exc:
             skipped.append({"id": item.sample_id, "reason": str(exc)})
             continue
-        if kind == "raw_pixel":
-            rows.append(extract_raw_features(img).values)
-        else:
-            rows.append(extract_histogram_features(img, bins).values)
+        rows.append(convert(img))
         labels.append(item.label)
     if not rows:
         raise DataError("every image in the dataset failed to decode")
     return np.stack(rows), np.array(labels, dtype=np.int64), skipped
 
 
+def extract_feature_matrix(dataset: LabeledDataset, kind: str, bins: int = 8):
+    """(features, labels, skipped) for every decodable image in the dataset."""
+    if kind == "raw_pixel":
+        return _decode_each(dataset, lambda img: extract_raw_features(img).values)
+    if kind == "hsv_histogram":
+        return _decode_each(dataset, lambda img: extract_histogram_features(img, bins).values)
+    raise ConfigError(f"unknown feature kind {kind!r}")
+
+
 def load_tensor_batch(dataset: LabeledDataset, side: int):
     """(tensors [N, side, side, 3] float32, labels, skipped) for the CNN path."""
-    tensors, labels, skipped = [], [], []
-    for item in dataset.items:
-        try:
-            img = decode_image(item.source.read_bytes())
-        except (DataError, OSError) as exc:
-            skipped.append({"id": item.sample_id, "reason": str(exc)})
-            continue
-        tensors.append(image_to_tensor(img, side).astype(np.float32))
-        labels.append(item.label)
-    if not tensors:
-        raise DataError("every image in the dataset failed to decode")
-    return np.stack(tensors), np.array(labels, dtype=np.int64), skipped
+    return _decode_each(dataset, lambda img: image_to_tensor(img, side).astype(np.float32))
 
 
 # --------------------------------------------------------------------------
@@ -265,8 +258,8 @@ def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
     for i, lay in enumerate(net.layers):
         base = f"layer{i:02d}/{lay.kind}"
         layers.append({k: claim(f"{base}/{k}", s) for k, s in shapes[i].items()})
-        adam_m.append({k: claim(f"{base}/{k}.m", shapes[i][k]) for k in _TRAINABLE.get(lay.kind, ())})
-        adam_v.append({k: claim(f"{base}/{k}.v", shapes[i][k]) for k in _TRAINABLE.get(lay.kind, ())})
+        adam_m.append({k: claim(f"{base}/{k}.m", shapes[i][k]) for k in lay.trainable})
+        adam_v.append({k: claim(f"{base}/{k}.v", shapes[i][k]) for k in lay.trainable})
     step = int(round(float(claim("step", ()))))
     if remaining:
         raise IntegrityError(f"checkpoint has unexpected tensors: {sorted(remaining)}")
@@ -321,7 +314,12 @@ def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceM
 
 def build_network(reduced: bool, dropout_rates=None) -> NetworkSpec:
     builder = reduced_network if reduced else reference_network
-    return builder(tuple(dropout_rates)) if dropout_rates else builder()
+    if not dropout_rates:
+        return builder()
+    expected = sum(lay.kind == "dropout" for lay in builder().layers)
+    if len(dropout_rates) != expected:
+        raise ConfigError(f"{builder.__name__} takes {expected} dropout rates, got {len(dropout_rates)}")
+    return builder(tuple(dropout_rates))
 
 
 def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size: int = 32,

@@ -17,6 +17,7 @@ any number of threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -31,12 +32,45 @@ from .prng import SeededPrng
 # --------------------------------------------------------------------------
 # Layer and network specifications
 # --------------------------------------------------------------------------
+#
+# Each layer spec is also the record of its kind's rules: `trainable` names
+# its trainable tensors in gradient order; `out_shape` and `param_shapes` map
+# an input shape (batch dimension omitted) to the output and parameter shapes;
+# `forward(h, p, train, rng)` returns (y, cache[, batch-norm updates]) and
+# `backward(g, cache)` returns (dx, *parameter gradients). Kernels are called
+# by module name at call time, so a replaced module attribute reaches every
+# network. Other attributes are ClassVars: canonical_json serializes fields.
+
+class _Layer:
+    """Defaults for the records: shape-preserving, no parameters."""
+
+    trainable: ClassVar[tuple[str, ...]] = ()
+
+    def out_shape(self, in_shape):
+        return in_shape
+
+    def param_shapes(self, in_shape):
+        return {}
+
+
+def _window_shape(in_shape, window, stride, channels):
+    """Valid padding: spatial extents are floor((in - window) / stride) + 1."""
+    if len(in_shape) != 3:
+        raise ShapeError(f"needs a (H, W, C) input, got {in_shape}")
+    h, w, _ = in_shape
+    wh, ww = window
+    if h < wh or w < ww:
+        raise ShapeError(f"window {wh}x{ww} exceeds input {h}x{w}")
+    sh, sw = stride
+    return (h - wh) // sh + 1, (w - ww) // sw + 1, channels
+
 
 @dataclass(frozen=True)
-class Conv2D:
+class Conv2D(_Layer):
     """Valid-padding cross-correlation with bias."""
 
     kind: ClassVar[str] = "conv2d"
+    trainable: ClassVar[tuple[str, ...]] = ("kernel", "bias")
     filters: int
     kernel: tuple[int, int] = (3, 3)
     stride: tuple[int, int] = (1, 1)
@@ -45,10 +79,23 @@ class Conv2D:
         if self.filters < 1 or min(self.kernel) < 1 or min(self.stride) < 1:
             raise ConfigError(f"conv2d sizes must be >= 1: {self}")
 
+    def out_shape(self, in_shape):
+        return _window_shape(in_shape, self.kernel, self.stride, self.filters)
+
+    def param_shapes(self, in_shape):
+        return {"kernel": (*self.kernel, in_shape[-1], self.filters), "bias": (self.filters,)}
+
+    def forward(self, h, p, train, rng):
+        return conv2d_forward(h, p["kernel"], p["bias"], self.stride)
+
+    def backward(self, g, cache):
+        return conv2d_backward(g, cache)
+
 
 @dataclass(frozen=True)
-class BatchNorm:
+class BatchNorm(_Layer):
     kind: ClassVar[str] = "batch_norm"
+    trainable: ClassVar[tuple[str, ...]] = ("gamma", "beta")
     channels: int
     epsilon: float = 1e-3
     momentum: float = 0.99
@@ -57,9 +104,26 @@ class BatchNorm:
         if self.channels < 1:
             raise ConfigError(f"batch_norm needs channels >= 1: {self}")
 
+    def out_shape(self, in_shape):
+        if self.channels != in_shape[-1]:
+            raise ShapeError(f"{self.channels} channels vs input {in_shape}")
+        return in_shape
+
+    def param_shapes(self, in_shape):
+        return dict.fromkeys(("gamma", "beta", "moving_mean", "moving_var"), (self.channels,))
+
+    def forward(self, h, p, train, rng):
+        args = (h, p["gamma"], p["beta"], p["moving_mean"], p["moving_var"], self.epsilon)
+        if train:
+            return batch_norm_forward_train(*args, self.momentum)
+        return batch_norm_forward_eval(*args), None
+
+    def backward(self, g, cache):
+        return batch_norm_backward(g, cache)
+
 
 @dataclass(frozen=True)
-class Dropout:
+class Dropout(_Layer):
     kind: ClassVar[str] = "dropout"
     rate: float
 
@@ -67,55 +131,101 @@ class Dropout:
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {self.rate}")
 
+    def forward(self, h, p, train, rng):
+        if train and self.rate > 0.0:
+            return dropout_forward(h, self.rate, "train", rng)
+        return h, None
+
+    def backward(self, g, mask):
+        return (g if mask is None else dropout_backward(g, mask, self.rate),)
+
 
 @dataclass(frozen=True)
-class MaxPool:
+class _Pool(_Layer):
+    pool: tuple[int, int] = (2, 2)
+    stride: tuple[int, int] = (2, 2)
+
+    def __post_init__(self):
+        if min(self.pool) < 1 or min(self.stride) < 1:
+            raise ConfigError(f"{self.kind} sizes must be >= 1: {self}")
+
+    def out_shape(self, in_shape):
+        return _window_shape(in_shape, self.pool, self.stride, in_shape[-1])
+
+
+@dataclass(frozen=True)
+class MaxPool(_Pool):
     kind: ClassVar[str] = "max_pool"
-    pool: tuple[int, int] = (2, 2)
-    stride: tuple[int, int] = (2, 2)
 
-    def __post_init__(self):
-        if min(self.pool) < 1 or min(self.stride) < 1:
-            raise ConfigError(f"max_pool sizes must be >= 1: {self}")
+    def forward(self, h, p, train, rng):
+        return max_pool_forward(h, self.pool, self.stride)
+
+    def backward(self, g, cache):
+        return (max_pool_backward(g, cache),)
 
 
 @dataclass(frozen=True)
-class AvgPool:
+class AvgPool(_Pool):
     kind: ClassVar[str] = "avg_pool"
-    pool: tuple[int, int] = (2, 2)
-    stride: tuple[int, int] = (2, 2)
 
-    def __post_init__(self):
-        if min(self.pool) < 1 or min(self.stride) < 1:
-            raise ConfigError(f"avg_pool sizes must be >= 1: {self}")
+    def forward(self, h, p, train, rng):
+        return avg_pool_forward(h, self.pool, self.stride)
+
+    def backward(self, g, cache):
+        return (avg_pool_backward(g, cache),)
 
 
 @dataclass(frozen=True)
-class Flatten:
+class Flatten(_Layer):
     kind: ClassVar[str] = "flatten"
 
+    def out_shape(self, in_shape):
+        return (math.prod(in_shape),)
+
+    def forward(self, h, p, train, rng):
+        return h.reshape(h.shape[0], -1), h.shape
+
+    def backward(self, g, in_shape):
+        return (g.reshape(in_shape),)
+
 
 @dataclass(frozen=True)
-class Relu:
+class Relu(_Layer):
     kind: ClassVar[str] = "relu"
 
+    def forward(self, h, p, train, rng):
+        return np.maximum(h, 0), h > 0
+
+    def backward(self, g, positive):
+        return (g * positive,)
+
 
 @dataclass(frozen=True)
-class Dense:
+class Dense(_Layer):
     kind: ClassVar[str] = "dense"
+    trainable: ClassVar[tuple[str, ...]] = ("weights", "bias")
     units: int
 
     def __post_init__(self):
         if self.units < 1:
             raise ConfigError(f"dense needs units >= 1: {self}")
 
+    def out_shape(self, in_shape):
+        if len(in_shape) != 1:
+            raise ShapeError(f"needs a flat input, got {in_shape}")
+        return (self.units,)
+
+    def param_shapes(self, in_shape):
+        return {"weights": (in_shape[0], self.units), "bias": (self.units,)}
+
+    def forward(self, h, p, train, rng):
+        return dense_forward(h, p["weights"], p["bias"])
+
+    def backward(self, g, cache):
+        return dense_backward(g, cache)
+
 
 LayerSpec = Conv2D | BatchNorm | Dropout | MaxPool | AvgPool | Flatten | Relu | Dense
-
-# Parameter tensors per layer kind, trainable ones first.
-_TRAINABLE = {"conv2d": ("kernel", "bias"), "dense": ("weights", "bias"),
-              "batch_norm": ("gamma", "beta")}
-_NON_TRAINABLE = {"batch_norm": ("moving_mean", "moving_var")}
 
 
 @dataclass(frozen=True)
@@ -137,64 +247,35 @@ class NetworkSpec:
 
 
 def infer_shapes(net: NetworkSpec) -> list[tuple[int, ...]]:
-    """Per-layer output shapes (batch dimension omitted).
-
-    Spatial extents follow valid padding: floor((in - window) / stride) + 1.
-    """
+    """Per-layer output shapes (batch dimension omitted)."""
     shape = tuple(net.input_shape)
     out = []
     for i, lay in enumerate(net.layers):
-        if isinstance(lay, (Conv2D, MaxPool, AvgPool)):
-            if len(shape) != 3:
-                raise ShapeError(f"layer {i} ({lay.kind}) needs a (H, W, C) input, got {shape}")
-            h, w, c = shape
-            wh, ww = lay.kernel if isinstance(lay, Conv2D) else lay.pool
-            if h < wh or w < ww:
-                raise ShapeError(
-                    f"layer {i} ({lay.kind}): window {wh}x{ww} exceeds input {h}x{w}"
-                )
-            sh, sw = lay.stride
-            oh, ow = (h - wh) // sh + 1, (w - ww) // sw + 1
-            shape = (oh, ow, lay.filters if isinstance(lay, Conv2D) else c)
-        elif isinstance(lay, BatchNorm):
-            if lay.channels != shape[-1]:
-                raise ShapeError(
-                    f"layer {i} (batch_norm): {lay.channels} channels vs input {shape}"
-                )
-        elif isinstance(lay, Flatten):
-            shape = (int(np.prod(shape)),)
-        elif isinstance(lay, Dense):
-            if len(shape) != 1:
-                raise ShapeError(f"layer {i} (dense) needs a flat input, got {shape}")
-            shape = (lay.units,)
-        # dropout and relu keep the shape
+        try:
+            shape = lay.out_shape(shape)
+        except ShapeError as exc:
+            raise ShapeError(f"layer {i} ({lay.kind}): {exc}") from None
         out.append(shape)
     return out
 
 
+def param_shapes(net: NetworkSpec) -> list[dict[str, tuple[int, ...]]]:
+    """Expected parameter tensor shapes per layer, in checkpoint order."""
+    in_shapes = [tuple(net.input_shape), *infer_shapes(net)]
+    return [lay.param_shapes(shape) for lay, shape in zip(net.layers, in_shapes)]
+
+
 def layer_param_counts(net: NetworkSpec) -> list[int]:
     """Parameter tensor sizes per layer (trainable plus non-trainable)."""
-    counts = []
-    shape = tuple(net.input_shape)
-    for lay, out_shape in zip(net.layers, infer_shapes(net)):
-        if isinstance(lay, Conv2D):
-            kh, kw = lay.kernel
-            counts.append(lay.filters * (kh * kw * shape[-1] + 1))
-        elif isinstance(lay, Dense):
-            counts.append(shape[0] * lay.units + lay.units)
-        elif isinstance(lay, BatchNorm):
-            counts.append(4 * lay.channels)
-        else:
-            counts.append(0)
-        shape = out_shape
-    return counts
+    return [sum(math.prod(s) for s in shapes.values()) for shapes in param_shapes(net)]
 
 
 def count_params(net: NetworkSpec) -> tuple[int, int, int]:
     """(total, trainable, non_trainable) parameter counts."""
     total = sum(layer_param_counts(net))
-    non_trainable = sum(2 * lay.channels for lay in net.layers if isinstance(lay, BatchNorm))
-    return total, total - non_trainable, non_trainable
+    trainable = sum(math.prod(shapes[k]) for lay, shapes in zip(net.layers, param_shapes(net))
+                    for k in lay.trainable)
+    return total, trainable, total - trainable
 
 
 def summarize(net: NetworkSpec) -> list[tuple[str, tuple[int, ...], int]]:
@@ -286,56 +367,25 @@ class ParamState:
         return np.dtype(np.float32)
 
 
-def param_shapes(net: NetworkSpec) -> list[dict[str, tuple[int, ...]]]:
-    """Expected parameter tensor shapes per layer, in checkpoint order."""
-    shapes = infer_shapes(net)
-    out = []
-    in_shape = tuple(net.input_shape)
-    for lay, out_shape in zip(net.layers, shapes):
-        if isinstance(lay, Conv2D):
-            kh, kw = lay.kernel
-            out.append({"kernel": (kh, kw, in_shape[-1], lay.filters), "bias": (lay.filters,)})
-        elif isinstance(lay, Dense):
-            out.append({"weights": (in_shape[0], lay.units), "bias": (lay.units,)})
-        elif isinstance(lay, BatchNorm):
-            ch = (lay.channels,)
-            out.append({"gamma": ch, "beta": ch, "moving_mean": ch, "moving_var": ch})
-        else:
-            out.append({})
-        in_shape = out_shape
-    return out
-
-
 def init_params(net: NetworkSpec, seed: int | SeededPrng, dtype=np.float32) -> ParamState:
     """Glorot-uniform kernels/weights, zero biases, identity batch-norm."""
     rng = seed if isinstance(seed, SeededPrng) else SeededPrng(int(seed))
-    shapes = infer_shapes(net)
-    in_shape = tuple(net.input_shape)
     layers, adam_m, adam_v = [], [], []
-    for lay, out_shape in zip(net.layers, shapes):
-        p: dict[str, np.ndarray] = {}
-        if isinstance(lay, Conv2D):
-            kh, kw = lay.kernel
-            fan_in, fan_out = kh * kw * in_shape[-1], kh * kw * lay.filters
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            p["kernel"] = ((rng.uniform((kh, kw, in_shape[-1], lay.filters)) * 2 - 1) * limit).astype(dtype)
-            p["bias"] = np.zeros(lay.filters, dtype=dtype)
-        elif isinstance(lay, Dense):
-            fan_in, fan_out = in_shape[0], lay.units
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            p["weights"] = ((rng.uniform((fan_in, lay.units)) * 2 - 1) * limit).astype(dtype)
-            p["bias"] = np.zeros(lay.units, dtype=dtype)
-        elif isinstance(lay, BatchNorm):
-            p["gamma"] = np.ones(lay.channels, dtype=dtype)
-            p["beta"] = np.zeros(lay.channels, dtype=dtype)
-            p["moving_mean"] = np.zeros(lay.channels, dtype=dtype)
-            p["moving_var"] = np.ones(lay.channels, dtype=dtype)
+    for lay, shapes in zip(net.layers, param_shapes(net)):
+        p = {k: _init_tensor(k, shape, rng, dtype) for k, shape in shapes.items()}
         layers.append(p)
-        trainable = _TRAINABLE.get(lay.kind, ())
-        adam_m.append({k: np.zeros_like(p[k]) for k in trainable})
-        adam_v.append({k: np.zeros_like(p[k]) for k in trainable})
-        in_shape = out_shape
+        adam_m.append({k: np.zeros_like(p[k]) for k in lay.trainable})
+        adam_v.append({k: np.zeros_like(p[k]) for k in lay.trainable})
     return ParamState(layers, adam_m, adam_v)
+
+
+def _init_tensor(name: str, shape: tuple[int, ...], rng: SeededPrng, dtype) -> np.ndarray:
+    if name in ("kernel", "weights"):
+        # Glorot uniform; a conv kernel's window counts toward both fans.
+        fan_in, fan_out = math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1]
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return ((rng.uniform(shape) * 2 - 1) * limit).astype(dtype)
+    return np.full(shape, 1.0 if name in ("gamma", "moving_var") else 0.0, dtype=dtype)
 
 
 # --------------------------------------------------------------------------
@@ -347,6 +397,16 @@ def _im2col(x: np.ndarray, wh: int, ww: int, sh: int, sw: int) -> np.ndarray:
     win = sliding_window_view(x, (wh, ww), axis=(1, 2))  # N, H', W', C, wh, ww
     win = win[:, ::sh, ::sw]
     return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+
+
+def _col2im(dcols: np.ndarray, x_shape, sh: int, sw: int) -> np.ndarray:
+    """Scatter-add window gradients (N, OH, OW, wh, ww, C) onto the input."""
+    n, oh, ow, wh, ww, c = dcols.shape
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
+    for i in range(wh):
+        for j in range(ww):
+            dx[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :] += dcols[:, :, :, i, j, :]
+    return dx
 
 
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
@@ -376,11 +436,7 @@ def conv2d_backward(dy: np.ndarray, cache):
     dkernel = (flat.T @ dy_flat).reshape(kernel.shape)
     dbias = dy_flat.sum(axis=0)
     dcols = (dy_flat @ kernel.reshape(kh * kw * c, f).T).reshape(n, oh, ow, kh, kw, c)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :] += dcols[:, :, :, i, j, :]
-    return dx, dkernel, dbias
+    return _col2im(dcols, x_shape, sh, sw), dkernel, dbias
 
 
 def _bn_axes(x: np.ndarray) -> tuple[int, ...]:
@@ -484,11 +540,8 @@ def avg_pool_backward(dy, cache):
     x_shape, (ph, pw), (sh, sw) = cache
     n, oh, ow, c = dy.shape
     share = dy / np.asarray(ph * pw, dtype=dy.dtype)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    for i in range(ph):
-        for j in range(pw):
-            dx[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :] += share
-    return dx
+    dcols = np.broadcast_to(share[:, :, :, None, None, :], (n, oh, ow, ph, pw, c))
+    return _col2im(dcols, x_shape, sh, sw)
 
 
 def dense_forward(x, weights, bias):
@@ -550,19 +603,17 @@ def adam_step(params: ParamState, grads: list[dict[str, np.ndarray]],
 class ForwardCache:
     """Everything backward needs, one entry per layer, plus pending BN updates."""
 
-    layers: list
+    layers: list = field(default_factory=list)
     bn_updates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
-    masks: dict[int, np.ndarray] = field(default_factory=dict)
 
 
 def network_forward(net: NetworkSpec, params: ParamState, batch: np.ndarray,
-                    mode: str = "eval", rng: SeededPrng | None = None,
-                    masks: dict[int, np.ndarray] | None = None):
+                    mode: str = "eval", rng: SeededPrng | None = None):
     """Apply all layers in order; returns (logits, ForwardCache).
 
     mode "train" uses batch statistics and live dropout (drawing masks from
-    rng unless given explicitly); mode "eval" uses moving statistics and
-    identity dropout. The cache is only populated meaningfully in train mode.
+    rng); mode "eval" uses moving statistics and identity dropout. The cache
+    is only populated meaningfully in train mode.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -570,78 +621,23 @@ def network_forward(net: NetworkSpec, params: ParamState, batch: np.ndarray,
     if batch.shape[1:] != expected:
         raise ShapeError(f"batch shape {batch.shape[1:]} does not match input {expected}")
     h = batch.astype(params.dtype, copy=False)
-    cache = ForwardCache(layers=[None] * len(net.layers))
+    cache = ForwardCache()
     for i, (lay, p) in enumerate(zip(net.layers, params.layers)):
-        if isinstance(lay, Conv2D):
-            h, c = conv2d_forward(h, p["kernel"], p["bias"], lay.stride)
-            cache.layers[i] = c
-        elif isinstance(lay, BatchNorm):
-            if mode == "train":
-                h, c, upd = batch_norm_forward_train(
-                    h, p["gamma"], p["beta"], p["moving_mean"], p["moving_var"],
-                    lay.epsilon, lay.momentum)
-                cache.layers[i] = c
-                cache.bn_updates.append((i, *upd))
-            else:
-                h = batch_norm_forward_eval(
-                    h, p["gamma"], p["beta"], p["moving_mean"], p["moving_var"], lay.epsilon)
-        elif isinstance(lay, Dropout):
-            if mode == "train" and lay.rate > 0.0:
-                if masks is not None and i in masks:
-                    mask = masks[i]
-                    h = h * (mask.astype(h.dtype) / np.asarray(1.0 - lay.rate, dtype=h.dtype))
-                else:
-                    h, mask = dropout_forward(h, lay.rate, mode, rng)
-                cache.layers[i] = mask
-                cache.masks[i] = mask
-        elif isinstance(lay, MaxPool):
-            h, c = max_pool_forward(h, lay.pool, lay.stride)
-            cache.layers[i] = c
-        elif isinstance(lay, AvgPool):
-            h, c = avg_pool_forward(h, lay.pool, lay.stride)
-            cache.layers[i] = c
-        elif isinstance(lay, Flatten):
-            cache.layers[i] = h.shape
-            h = h.reshape(h.shape[0], -1)
-        elif isinstance(lay, Relu):
-            cache.layers[i] = h > 0
-            h = np.maximum(h, 0)
-        elif isinstance(lay, Dense):
-            h, c = dense_forward(h, p["weights"], p["bias"])
-            cache.layers[i] = c
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown layer {lay!r}")
+        h, layer_cache, *bn_update = lay.forward(h, p, mode == "train", rng)
+        cache.layers.append(layer_cache)
+        cache.bn_updates.extend((i, *upd) for upd in bn_update)
     return h, cache
 
 
 def network_backward(net: NetworkSpec, params: ParamState, cache: ForwardCache,
                      dlogits: np.ndarray) -> list[dict[str, np.ndarray]]:
     """Backpropagate dlogits through a train-mode cache; returns per-layer grads."""
-    grads: list[dict[str, np.ndarray]] = [{} for _ in net.layers]
+    grads: list[dict[str, np.ndarray]] = []
     g = dlogits
-    for i in reversed(range(len(net.layers))):
-        lay, c = net.layers[i], cache.layers[i]
-        if isinstance(lay, Conv2D):
-            g, dk, db = conv2d_backward(g, c)
-            grads[i] = {"kernel": dk, "bias": db}
-        elif isinstance(lay, BatchNorm):
-            g, dgamma, dbeta = batch_norm_backward(g, c)
-            grads[i] = {"gamma": dgamma, "beta": dbeta}
-        elif isinstance(lay, Dropout):
-            if c is not None:
-                g = dropout_backward(g, c, lay.rate)
-        elif isinstance(lay, MaxPool):
-            g = max_pool_backward(g, c)
-        elif isinstance(lay, AvgPool):
-            g = avg_pool_backward(g, c)
-        elif isinstance(lay, Flatten):
-            g = g.reshape(c)
-        elif isinstance(lay, Relu):
-            g = g * c
-        elif isinstance(lay, Dense):
-            g, dw, db = dense_backward(g, c)
-            grads[i] = {"weights": dw, "bias": db}
-    return grads
+    for lay, layer_cache in zip(reversed(net.layers), reversed(cache.layers)):
+        g, *param_grads = lay.backward(g, layer_cache)
+        grads.append(dict(zip(lay.trainable, param_grads)))
+    return grads[::-1]
 
 
 def commit_bn_updates(params: ParamState, cache: ForwardCache) -> None:
@@ -661,7 +657,7 @@ def train_epoch(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarr
     n = x.shape[0]
     if n == 0:
         raise ConfigError("train_epoch needs a non-empty dataset")
-    has_bn = any(isinstance(lay, BatchNorm) for lay in net.layers)
+    has_bn = any(lay.kind == "batch_norm" for lay in net.layers)
     if has_bn and n % batch_size == 1:
         raise ConfigError(
             f"batch_size {batch_size} leaves a trailing batch of 1 sample, "
@@ -718,31 +714,29 @@ def gradient_check(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.nd
                    sample_count: int = 20, h: float = 1e-4, seed: int = 0) -> GradCheckReport:
     """Central finite differences vs analytic gradients on sampled parameters.
 
-    Requires float64 parameters. Dropout masks are drawn once and held fixed
-    for every loss evaluation, and moving-statistic updates are discarded, so
-    both sides differentiate the same deterministic function (batch
-    statistics are recomputed from each perturbed input as usual).
+    Requires float64 parameters. Each loss evaluation replays SeededPrng(seed)
+    and so redraws the analytic pass's dropout masks (dropout is a forward
+    pass's only draw), and moving-statistic updates are discarded, so both
+    sides differentiate the same deterministic function (batch statistics are
+    recomputed from each perturbed input as usual).
     """
     if params.dtype != np.float64:
         raise ConfigError(f"gradient_check needs float64 parameters, got {params.dtype}")
     rng = SeededPrng(seed)
-    _, warmup = network_forward(net, params, x, "train", rng)
-    masks = warmup.masks
-
-    def loss_at() -> float:
-        logits, _ = network_forward(net, params, x, "train", masks=masks)
-        loss, _, _ = softmax_cross_entropy(logits, y)
-        return loss
-
-    logits, cache = network_forward(net, params, x, "train", masks=masks)
+    logits, cache = network_forward(net, params, x, "train", rng)
     _, _, dlogits = softmax_cross_entropy(logits, y)
     analytic = network_backward(net, params, cache, dlogits)
+
+    def loss_at() -> float:
+        logits, _ = network_forward(net, params, x, "train", SeededPrng(seed))
+        loss, _, _ = softmax_cross_entropy(logits, y)
+        return loss
 
     per_layer: dict[int, tuple[str, float]] = {}
     worst = 0.0
     for i, lay in enumerate(net.layers):
         layer_worst = 0.0
-        for key in _TRAINABLE.get(lay.kind, ()):
+        for key in lay.trainable:
             tensor = params.layers[i][key]
             flat = tensor.reshape(-1)
             picks = rng.permutation(flat.size)[: min(sample_count, flat.size)]
@@ -756,7 +750,7 @@ def gradient_check(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.nd
                 numeric = (up - down) / (2 * h)
                 err = _rel_err(float(analytic[i][key].reshape(-1)[j]), numeric)
                 layer_worst = max(layer_worst, err)
-        if _TRAINABLE.get(lay.kind):
+        if lay.trainable:
             per_layer[i] = (lay.kind, layer_worst)
             worst = max(worst, layer_worst)
     return GradCheckReport(per_layer, worst)

@@ -212,10 +212,15 @@ def test_cli_synth_and_knn(tmp_path, capsys):
 def test_cli_exit_code_config_error(tmp_path, capsys):
     out = tmp_path / "ds"
     main(["synth", "--out", str(out), "--n", "12", "--side", "24", "--seed", "0"])
-    code = main(["knn", "--data", str(out), "--k", "50", "--folds", "2",
-                 "--out", str(tmp_path / "x")])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    capsys.readouterr()
+    for args in (["knn", "--k", "50", "--folds", "2"],
+                 ["knn", "--k", "1-x"],  # span bound is not an integer
+                 ["cnn-train", "--reduced", "--dropout", "0.1"],  # preset takes two rates
+                 ["cnn-train", "--dropout", "0.1,abc"]):
+        code = main([*args, "--data", str(out), "--out", str(tmp_path / "x")])
+        assert code == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and err.count("\n") == 1, err
 
 
 def test_cli_exit_code_data_error(tmp_path, capsys):

@@ -282,3 +282,30 @@ def test_gradient_check_catches_transposed_dense_backward(monkeypatch):
     y = np.array([0, 1, 0, 1])
     report = nn.gradient_check(net, params, x, y, sample_count=25, h=1e-5, seed=1)
     assert report.max_rel_err > 1e-2
+
+
+def test_gradient_check_flags_faulty_dense_backward_in_every_kind_network(monkeypatch):
+    """The fault injection of demos/04_gradient_check.py: the layer records call
+    their kernels through the nn module, so a replaced `nn.dense_backward` must
+    reach the dense layers (and only them) of a network holding every kind."""
+    net = micro_net(
+        nn.Conv2D(4, (3, 3), (1, 1)), nn.BatchNorm(4), nn.Relu(),
+        nn.Conv2D(6, (3, 3), (2, 2)), nn.Relu(), nn.Dropout(0.25),
+        nn.MaxPool((2, 2), (1, 1)), nn.AvgPool((2, 2), (1, 1)), nn.Flatten(),
+        nn.Dense(8), nn.Relu(), nn.Dropout(0.4), nn.Dense(2),
+        input_shape=(10, 10, 3),
+    )
+    params = nn.init_params(net, seed=6, dtype=np.float64)
+    x = SeededPrng(7).uniform((4, 10, 10, 3))
+    y = np.arange(4) % 2
+    good = nn.gradient_check(net, params, x, y, sample_count=20, h=1e-5, seed=8)
+    assert good.max_rel_err < 1e-4
+
+    def transposed_dense_backward(dy, cache):
+        x, weights = cache
+        return dy @ weights.T, (x.T @ dy).T.reshape(weights.shape), dy.sum(axis=0)
+
+    monkeypatch.setattr(nn, "dense_backward", transposed_dense_backward)
+    bad = nn.gradient_check(net, params, x, y, sample_count=20, h=1e-5, seed=8)
+    assert bad.max_rel_err > 1e-2
+    assert {i for i, (_, err) in bad.per_layer.items() if err > 1e-2} == {9, 12}

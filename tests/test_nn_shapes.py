@@ -1,5 +1,8 @@
 """The reference architecture's shape and parameter table, held exactly."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from cellgrade import nn
@@ -110,3 +113,31 @@ def test_param_shapes_match_init():
     params = nn.init_params(net, 0)
     for expected, actual in zip(nn.param_shapes(net), params.layers):
         assert {k: v.shape for k, v in actual.items()} == {k: tuple(s) for k, s in expected.items()}
+
+
+EVERY_KIND = nn.NetworkSpec((10, 10, 3), (
+    nn.Conv2D(4, (3, 3), (1, 1)), nn.BatchNorm(4), nn.Relu(),
+    nn.Conv2D(6, (3, 3), (2, 2)), nn.Relu(), nn.Dropout(0.25),
+    nn.MaxPool((2, 2), (1, 1)), nn.AvgPool((2, 2), (1, 1)), nn.Flatten(),
+    nn.Dense(8), nn.Relu(), nn.Dropout(0.4), nn.Dense(2),
+))
+
+
+@pytest.mark.parametrize("net, dtype, digest", [
+    (nn.reduced_network(), np.float32,
+     "da273410daa0442e27f0f4900ce188e5ba8d2696295abc97ea34295ca25e4021"),
+    (EVERY_KIND, np.float32, "5ead3b58487de6fcb5653eeab03fe4ecf3b73d601bd99766238b42ba09d5376b"),
+    (EVERY_KIND, np.float64, "48cbcd7251e899bad0b34eaa883521f39f39660a27db20a6cb3ff90d2ed7107b"),
+], ids=["reduced-f32", "every-kind-f32", "every-kind-f64"])
+def test_init_params_golden_bytes(net, dtype, digest):
+    """Initial weights are pinned across versions, not only across reruns.
+
+    Init is the seeded PRNG plus element-wise arithmetic (no matrix product),
+    so these bytes hold on every platform.
+    """
+    params = nn.init_params(net, 0, dtype=dtype)
+    h = hashlib.sha256()
+    for layer in params.layers:
+        for key in sorted(layer):
+            h.update(layer[key].tobytes())
+    assert h.hexdigest() == digest
