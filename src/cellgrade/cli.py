@@ -97,7 +97,7 @@ def _run(args) -> None:
         print(f"best k: {summary['best_k']} (mean accuracy {summary['best_mean_accuracy']:.4f})")
         print(f"wrote {args.out}.csv and {args.out}.json")
     elif args.command == "cnn-train":
-        rates = _parse_rates(args.dropout) if args.dropout else None
+        rates = _parse_rates(args.dropout) if args.dropout is not None else None
 
         def show(rec):
             print(f"epoch {rec['epoch']:3d}  train_loss={rec['train_loss']:.4f}  "
@@ -111,7 +111,7 @@ def _run(args) -> None:
                                 progress=show)
         print(f"wrote {args.out}.csv and checkpoint {summary['checkpoint']}")
     elif args.command == "cnn-eval":
-        rates = _parse_rates(args.dropout) if args.dropout else None
+        rates = _parse_rates(args.dropout) if args.dropout is not None else None
         report = cmd_cnn_eval(args.checkpoint, args.data, out_path=args.out,
                               reduced=args.reduced, dropout_rates=rates)
         print(f"accuracy={report['accuracy']:.4f} over {report['n_samples']} samples")

@@ -278,6 +278,8 @@ def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceM
             out_prefix=None) -> dict:
     """Cross-validated kNN over the chosen features; writes CSV + JSON summary."""
     kind = _FEATURE_KINDS.get(features, features)
+    if bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {bins}")
     dataset = load_dataset(data_dir)
     x, y, skipped = extract_feature_matrix(dataset, kind, bins)
     reports = k_sweep(x, y, list(k_values), folds, metric, seed)
@@ -334,6 +336,10 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ConfigError(f"lr must be a finite number > 0, got {lr}")
     net = build_network(reduced, dropout_rates)
     side = net.input_shape[0]
     dataset = load_dataset(data_dir)

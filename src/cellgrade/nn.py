@@ -657,6 +657,8 @@ def train_epoch(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarr
     n = x.shape[0]
     if n == 0:
         raise ConfigError("train_epoch needs a non-empty dataset")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     has_bn = any(lay.kind == "batch_norm" for lay in net.layers)
     if has_bn and n % batch_size == 1:
         raise ConfigError(

@@ -1,9 +1,11 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
-from cellgrade import data, harness, imaging
+from cellgrade import data, harness, imaging, png
 from cellgrade.data import (
     batch_iter,
     load_dataset,
@@ -55,14 +57,20 @@ def test_load_dataset_empty(tmp_path):
 
 def test_unreadable_file_is_skipped_with_report(tmp_path):
     make_tree(tmp_path, 2, 2)
+    ihdr = struct.pack(">IIBBBBB", 8000, 8000, 8, 2, 0, 0, 0)
+    body = zlib.compress(b"\x00" * 24001)  # one blank scanline of the 8000-wide image
+    oversized = (b"\x89PNG\r\n\x1a\n" + png._chunk(b"IHDR", ihdr) + png._chunk(b"IDAT", body)
+                 + png._chunk(b"IEND", b""))
     (tmp_path / "Parasitized" / "broken.png").write_bytes(b"not a png")
+    (tmp_path / "Uninfected" / "huge.png").write_bytes(oversized)
     ds = load_dataset(tmp_path)
-    assert len(ds) == 5
+    assert len(ds) == 6
     x, y, skipped = harness.extract_feature_matrix(ds, "hsv_histogram")
     assert x.shape[0] == 4
-    assert len(skipped) == 1
-    assert skipped[0]["id"] == "Parasitized/broken.png"
-    assert "signature" in skipped[0]["reason"]
+    assert skipped == [
+        {"id": "Parasitized/broken.png", "reason": "not a PNG: bad 8-byte signature at offset 0"},
+        {"id": "Uninfected/huge.png", "reason": "image 8000x8000 exceeds the 16777216-pixel limit"},
+    ]
 
 
 # -- folds ----------------------------------------------------------------------

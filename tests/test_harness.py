@@ -216,11 +216,17 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     for args in (["knn", "--k", "50", "--folds", "2"],
                  ["knn", "--k", "1-x"],  # span bound is not an integer
                  ["cnn-train", "--reduced", "--dropout", "0.1"],  # preset takes two rates
-                 ["cnn-train", "--dropout", "0.1,abc"]):
+                 ["cnn-train", "--dropout", "0.1,abc"],
+                 ["cnn-train", "--reduced", "--dropout="],  # empty list, not the preset
+                 ["knn", "--bins", "0"],
+                 ["cnn-train", "--reduced", "--batch", "0"],
+                 ["cnn-train", "--reduced", "--lr", "nan"],
+                 ["cnn-train", "--reduced", "--lr", "0"]):
         code = main([*args, "--data", str(out), "--out", str(tmp_path / "x")])
         assert code == 2, args
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and err.count("\n") == 1, err
+        assert not (tmp_path / "x.ckpt").exists(), args
 
 
 def test_cli_exit_code_data_error(tmp_path, capsys):

@@ -175,6 +175,14 @@ def test_train_epoch_rejects_trailing_singleton_with_bn():
         nn.train_epoch(net, params, x, y, 4, SeededPrng(0))
 
 
+def test_train_epoch_rejects_batch_size_zero():
+    net = nn.NetworkSpec((4, 4, 2), (nn.Flatten(), nn.Dense(2)))
+    params = nn.init_params(net, 0)
+    with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
+        nn.train_epoch(net, params, np.zeros((3, 4, 4, 2), np.float32), np.zeros(3, np.int64), 0,
+                       SeededPrng(0))
+
+
 def test_moving_statistics_update_during_training():
     net = nn.NetworkSpec((4, 4, 2), (nn.Conv2D(3, (3, 3)), nn.BatchNorm(3), nn.Flatten(), nn.Dense(2)))
     params = nn.init_params(net, 0)

@@ -1,10 +1,13 @@
 """PNG codec tests, including an independent encoder for all filter types."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cellgrade import png
 from cellgrade.errors import DecodeError, UnsupportedFormatError
@@ -26,33 +29,46 @@ def paeth(a: int, b: int, c: int) -> int:
     return c
 
 
-def encode_with_filter(pixels: np.ndarray, ftype: int, color_type: int = 2) -> bytes:
-    """Test-side encoder: applies one filter type to every scanline."""
+def encode_with_filter(pixels: np.ndarray, ftype, color_type: int = 2) -> bytes:
+    """Test-side encoder: applies filter ``ftype`` to every scanline, or
+    ``ftype[y]`` to scanline y when given one type per row."""
     h, w, ch = pixels.shape
+    ftypes = [ftype] * h if isinstance(ftype, int) else list(ftype)
+    assert len(ftypes) == h
     bpp = ch
     raw = bytearray()
     prev = [0] * (w * bpp)
     for y in range(h):
         line = [int(v) for v in pixels[y].reshape(-1)]
-        raw.append(ftype)
+        ft = ftypes[y]
+        raw.append(ft)
         for i in range(len(line)):
             left = line[i - bpp] if i >= bpp else 0
             up = prev[i]
             upleft = prev[i - bpp] if i >= bpp else 0
-            if ftype == 0:
+            if ft == 0:
                 out = line[i]
-            elif ftype == 1:
+            elif ft == 1:
                 out = line[i] - left
-            elif ftype == 2:
+            elif ft == 2:
                 out = line[i] - up
-            elif ftype == 3:
+            elif ft == 3:
                 out = line[i] - (left + up) // 2
             else:
                 out = line[i] - paeth(left, up, upleft)
             raw.append(out % 256)
         prev = line
+    return png_file(w, h, bytes(raw), color_type)
+
+
+def png_file(w: int, h: int, raw: bytes, color_type: int = 2) -> bytes:
+    """A PNG with the given IHDR size and the zlib-compressed ``raw`` as IDAT."""
+    return png_with_idat(w, h, zlib.compress(raw), color_type)
+
+
+def png_with_idat(w: int, h: int, idat: bytes, color_type: int = 2) -> bytes:
     ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
-    return SIG + chunk(b"IHDR", ihdr) + chunk(b"IDAT", zlib.compress(bytes(raw))) + chunk(b"IEND", b"")
+    return SIG + chunk(b"IHDR", ihdr) + chunk(b"IDAT", idat) + chunk(b"IEND", b"")
 
 
 @pytest.mark.parametrize("ftype", [0, 1, 2, 3, 4])
@@ -142,7 +158,82 @@ def test_wrong_decompressed_size():
 
 
 def test_unknown_scanline_filter():
-    ihdr = struct.pack(">IIBBBBB", 1, 1, 8, 2, 0, 0, 0)
-    data = SIG + chunk(b"IHDR", ihdr) + chunk(b"IDAT", zlib.compress(b"\x07\x01\x02\x03")) + chunk(b"IEND", b"")
-    with pytest.raises(DecodeError, match="filter type 7"):
+    for w, h, raw, message in [
+        (1, 1, b"\x07\x01\x02\x03", "scanline 0 uses unknown filter type 7"),
+        # the first bad row is named, even after Paeth and Average rows
+        (1, 4, b"\x04abc\x03abc\x09abc\x05abc", "scanline 2 uses unknown filter type 9"),
+    ]:
+        with pytest.raises(DecodeError, match=f"^{message}$"):
+            png.decode_rgb8(png_file(w, h, raw))
+
+
+def test_truncated_zlib_stream():
+    data = png_with_idat(4, 4, zlib.compress(b"\x00" * 52)[:-6])
+    with pytest.raises(DecodeError, match="incomplete or truncated stream"):
         png.decode_rgb8(data)
+
+
+@st.composite
+def filtered_images(draw):
+    """Random RGB/RGBA pixels, 1-40 px a side, with per-row filter types."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    channels = draw(st.sampled_from([3, 4]))
+    levels = draw(st.sampled_from([2, 3, 256]))  # few levels force Paeth ties
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = (rng.integers(0, levels, size=(h, w, channels)) * (255 // (levels - 1))).astype(np.uint8)
+    # runs of one type; runs of length 1 give an independent type per row
+    runs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 40)), min_size=1))
+    ftypes = [t for t, length in runs for _ in range(length)]
+    ftypes = (ftypes * h)[:h]
+    return pixels, ftypes
+
+
+@settings(max_examples=150, deadline=None)
+@given(filtered_images())
+@example((np.arange(1 * 37 * 3, dtype=np.uint8).reshape(1, 37, 3), [4]))
+@example((np.arange(29 * 1 * 4, dtype=np.uint8).reshape(29, 1, 4), [3, 4, 1] * 9 + [4, 0]))
+def test_decode_per_row_mixed_filters(case):
+    pixels, ftypes = case
+    color_type = 6 if pixels.shape[2] == 4 else 2
+    decoded = png.decode_rgb8(encode_with_filter(pixels, ftypes, color_type))
+    np.testing.assert_array_equal(decoded, pixels[:, :, :3])
+
+
+def test_paeth_decode_memory_is_bounded_by_the_image():
+    side = 512
+    rng = np.random.default_rng(6)
+    rows = np.empty((side, 1 + side * 3), dtype=np.uint8)
+    rows[:, 0] = 4
+    rows[:, 1:] = rng.integers(0, 256, size=(side, side * 3), dtype=np.uint8)
+    data = png_file(side, side, rows.tobytes())
+    tracemalloc.start()
+    try:
+        pixels = png.decode_rgb8(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pixels.shape == (side, side, 3)
+    assert peak < 8 * pixels.nbytes, peak / pixels.nbytes
+
+
+def test_oversized_ihdr_is_unsupported_before_inflating():
+    # 8000x8000 would be 192 MB of pixels; the IDAT is not even zlib, so
+    # reaching the inflater would raise DecodeError instead
+    data = png_with_idat(8000, 8000, b"not zlib at all")
+    with pytest.raises(UnsupportedFormatError, match="8000x8000 exceeds"):
+        png.decode_rgb8(data)
+    side = 1 << 12  # exactly MAX_PIXELS passes the header check
+    with pytest.raises(DecodeError, match="zlib"):
+        png.decode_rgb8(png_with_idat(side, side, b"not zlib at all"))
+
+
+def test_inflate_stops_at_declared_size():
+    data = png_file(4, 4, b"\x00" * (50 << 20))  # 52 bytes declared, 50 MB inflated
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecodeError, match="more than 52 bytes, expected 52"):
+            png.decode_rgb8(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
