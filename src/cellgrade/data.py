@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -278,8 +279,9 @@ def synth_generate(out_dir, n: int, parasitized_fraction: float = 0.5,
         raise ConfigError(f"need n >= 2 images, got {n}")
     if not 0.0 < parasitized_fraction < 1.0:
         raise ConfigError(f"parasitized_fraction must be in (0, 1), got {parasitized_fraction}")
-    if side < 8:
-        raise ConfigError(f"side must be >= 8 pixels, got {side}")
+    max_side = math.isqrt(png.MAX_PIXELS)  # the largest square the decoder accepts
+    if not 8 <= side <= max_side:
+        raise ConfigError(f"side must be 8 to {max_side} pixels, got {side}")
     out_dir = Path(out_dir)
     n_par = int(np.floor(n * parasitized_fraction + 0.5))
     counts = {"Parasitized": n_par, "Uninfected": n - n_par}

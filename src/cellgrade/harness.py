@@ -338,8 +338,10 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise ConfigError(f"lr must be a finite number > 0, got {lr}")
+    with np.errstate(over="ignore"):
+        lr32 = np.float32(lr)  # the parameters' dtype, in which Adam applies lr
+    if not (np.isfinite(lr32) and lr32 > 0):
+        raise ConfigError(f"lr must be a finite float32 number > 0, got {lr}")
     net = build_network(reduced, dropout_rates)
     side = net.input_shape[0]
     dataset = load_dataset(data_dir)

@@ -35,6 +35,8 @@ class DistanceMetric:
         if self.variant == "minkowski":
             if self.p is None:
                 raise ConfigError("minkowski metric needs an exponent p")
+            if not np.isfinite(self.p):
+                raise ConfigError(f"minkowski p={self.p} rejected: p must be finite")
             if self.p < 1.0:
                 raise ConfigError(f"minkowski p={self.p} rejected: p >= 1 required for a true metric")
         elif self.p is not None:

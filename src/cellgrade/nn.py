@@ -4,7 +4,8 @@ Layer types: valid-padding convolution, batch normalization, inverted
 dropout, max/average pooling, flatten, dense, ReLU, and a softmax
 cross-entropy head. Convolution is cross-correlation (no kernel flip).
 Tensors are plain C-order numpy arrays; float32 for training, float64 for
-gradient checking.
+gradient checking. Every kernel computes in its input's dtype, so a float32
+training step runs in float32 end to end.
 
 A network is a NetworkSpec (ordered layer descriptions); its weights live in
 a separate ParamState. Forward passes are pure: train-mode batch-norm
@@ -36,8 +37,9 @@ from .prng import SeededPrng
 # Each layer spec is also the record of its kind's rules: `trainable` names
 # its trainable tensors in gradient order; `out_shape` and `param_shapes` map
 # an input shape (batch dimension omitted) to the output and parameter shapes;
-# `forward(h, p, train, rng)` returns (y, cache[, batch-norm updates]) and
-# `backward(g, cache)` returns (dx, *parameter gradients). Kernels are called
+# `forward(h, p, train, rng)` returns (y, cache[, batch-norm updates]),
+# `backward(g, cache)` returns (dx, *parameter gradients) and
+# `param_backward(g, cache)` the parameter gradients alone. Kernels are called
 # by module name at call time, so a replaced module attribute reaches every
 # network. Other attributes are ClassVars: canonical_json serializes fields.
 
@@ -51,6 +53,10 @@ class _Layer:
 
     def param_shapes(self, in_shape):
         return {}
+
+    def param_backward(self, g, cache):
+        """Parameter gradients alone, for a first layer whose input gradient is unused."""
+        return self.backward(g, cache)[1:]
 
 
 def _window_shape(in_shape, window, stride, channels):
@@ -90,6 +96,9 @@ class Conv2D(_Layer):
 
     def backward(self, g, cache):
         return conv2d_backward(g, cache)
+
+    def param_backward(self, g, cache):
+        return conv2d_backward(g, cache, input_grad=False)[1:]
 
 
 @dataclass(frozen=True)
@@ -427,41 +436,43 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     return y.reshape(n, oh, ow, f), cache
 
 
-def conv2d_backward(dy: np.ndarray, cache):
-    """Exact gradients: (dx, dkernel, dbias)."""
+def conv2d_backward(dy: np.ndarray, cache, *, input_grad: bool = True):
+    """Exact gradients: (dx, dkernel, dbias); dx is None when not input_grad."""
     x_shape, flat, kernel, (sh, sw), (oh, ow) = cache
     n, h, w, c = x_shape
     kh, kw, _, f = kernel.shape
     dy_flat = dy.reshape(n * oh * ow, f)
     dkernel = (flat.T @ dy_flat).reshape(kernel.shape)
     dbias = dy_flat.sum(axis=0)
+    if not input_grad:
+        return None, dkernel, dbias
     dcols = (dy_flat @ kernel.reshape(kh * kw * c, f).T).reshape(n, oh, ow, kh, kw, c)
     return _col2im(dcols, x_shape, sh, sw), dkernel, dbias
-
-
-def _bn_axes(x: np.ndarray) -> tuple[int, ...]:
-    return (0, 1, 2) if x.ndim == 4 else (0,)
 
 
 def batch_norm_forward_train(x, gamma, beta, moving_mean, moving_var, epsilon, momentum):
     """Normalize by batch statistics; returns (y, cache, (new_mean, new_var)).
 
     Moving statistics are returned, not written: moving <- momentum * moving
-    + (1 - momentum) * batch, with the biased batch variance.
+    + (1 - momentum) * batch, with the biased batch variance. Statistics are
+    reduced over an (M, C) view of x, in x's dtype.
     """
     if x.shape[0] < 2:
         raise ConfigError(f"batch_norm train mode needs batch size >= 2, got {x.shape[0]}")
-    axes = _bn_axes(x)
-    mu = x.mean(axis=axes)
-    var = x.var(axis=axes)
+    x2 = x.reshape(-1, x.shape[-1])
+    m = x.dtype.type(x2.shape[0])
+    mu = x2.sum(axis=0) / m
+    xhat = x2 - mu  # centred here, scaled in place below
+    var = np.einsum("ij,ij->j", xhat, xhat) / m
     inv = 1.0 / np.sqrt(var + np.asarray(epsilon, dtype=x.dtype))
-    xhat = (x - mu) * inv
-    y = gamma * xhat + beta
+    xhat *= inv
+    y = xhat * gamma
+    y += beta
     mom = np.asarray(momentum, dtype=x.dtype)
     new_mean = mom * moving_mean + (1 - mom) * mu.astype(moving_mean.dtype)
     new_var = mom * moving_var + (1 - mom) * var.astype(moving_var.dtype)
-    cache = (xhat, inv, gamma, axes)
-    return y, cache, (new_mean, new_var)
+    cache = (xhat, inv, gamma)
+    return y.reshape(x.shape), cache, (new_mean, new_var)
 
 
 def batch_norm_forward_eval(x, gamma, beta, moving_mean, moving_var, epsilon):
@@ -470,18 +481,18 @@ def batch_norm_forward_eval(x, gamma, beta, moving_mean, moving_var, epsilon):
 
 
 def batch_norm_backward(dy, cache):
-    """Standard batch-norm gradient through the batch statistics."""
-    xhat, inv, gamma, axes = cache
-    m = np.prod([xhat.shape[a] for a in axes])
-    dgamma = np.sum(dy * xhat, axis=axes)
-    dbeta = np.sum(dy, axis=axes)
-    dxhat = dy * gamma
-    dx = (inv / m) * (
-        m * dxhat
-        - np.sum(dxhat, axis=axes, keepdims=True)
-        - xhat * np.sum(dxhat * xhat, axis=axes, keepdims=True)
-    )
-    return dx.astype(dy.dtype, copy=False), dgamma, dbeta
+    """Batch-norm gradient through the batch statistics, on the (M, C) view:
+    dx = (m * dy - dbeta - xhat * dgamma) * gamma * inv / m."""
+    xhat, inv, gamma = cache
+    dy2 = dy.reshape(xhat.shape)
+    m = dy.dtype.type(xhat.shape[0])
+    dbeta = dy2.sum(axis=0)
+    dgamma = np.einsum("ij,ij->j", dy2, xhat)
+    dx = dy2 * m
+    dx -= dbeta
+    dx -= xhat * dgamma
+    dx *= gamma * inv / m
+    return dx.reshape(dy.shape), dgamma, dbeta
 
 
 def dropout_forward(x, rate: float, mode: str, rng: SeededPrng | None):
@@ -514,15 +525,14 @@ def max_pool_forward(x, pool: tuple[int, int], stride: tuple[int, int]):
 
 
 def max_pool_backward(dy, cache):
-    """Routes each upstream gradient to its window's argmax position."""
+    """Routes each upstream gradient to its window's argmax position, one
+    window offset at a time through strided views of dx."""
     x_shape, arg, (ph, pw), (sh, sw) = cache
     n, oh, ow, c = dy.shape
-    rows = (np.arange(oh) * sh)[None, :, None, None] + arg // pw
-    cols = (np.arange(ow) * sw)[None, None, :, None] + arg % pw
-    ns = np.arange(n)[:, None, None, None]
-    cs = np.arange(c)[None, None, None, :]
     dx = np.zeros(x_shape, dtype=dy.dtype)
-    np.add.at(dx, (ns, rows, cols, cs), dy)
+    for i in range(ph):
+        for j in range(pw):
+            dx[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :] += np.where(arg == i * pw + j, dy, 0)
     return dx
 
 
@@ -572,11 +582,19 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, probs, (grad / n).astype(logits.dtype, copy=False)
 
 
+_ADAM_BLOCK = 1 << 15  # elements per Adam block; a block of its six arrays stays in L2
+
+
 def adam_step(params: ParamState, grads: list[dict[str, np.ndarray]],
               lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-7) -> ParamState:
     """One bias-corrected Adam update over every trainable tensor, in place.
 
+    Each tensor is walked in blocks of _ADAM_BLOCK elements so the temporaries
+    stay in cache. Per element the operations and their order are those of
+        m <- b1*m + (1-b1)*g;  v <- b2*v + ((1-b2)*g)*g
+        p <- p - (lr * (m/c1)) / (sqrt(v/c2) + eps)
+    with c1 = 1 - b1^t and c2 = 1 - b2^t, all in the parameter's dtype.
     Batch-norm moving statistics are not trainable and are never touched.
     """
     params.step += 1
@@ -587,11 +605,34 @@ def adam_step(params: ParamState, grads: list[dict[str, np.ndarray]],
                 raise ShapeError(f"adam_step: grad {grad.shape} vs param {p[key].shape} for {key!r}")
             dt = p[key].dtype
             b1, b2 = np.asarray(beta1, dt), np.asarray(beta2, dt)
-            m[key] = b1 * m[key] + (1 - b1) * grad
-            v[key] = b2 * v[key] + (1 - b2) * grad * grad
-            m_hat = m[key] / np.asarray(1.0 - beta1**t, dt)
-            v_hat = v[key] / np.asarray(1.0 - beta2**t, dt)
-            p[key] -= np.asarray(lr, dt) * m_hat / (np.sqrt(v_hat) + np.asarray(eps, dt))
+            k1, k2 = 1 - b1, 1 - b2
+            c1, c2 = np.asarray(1.0 - beta1**t, dt), np.asarray(1.0 - beta2**t, dt)
+            lr_dt, eps_dt = np.asarray(lr, dt), np.asarray(eps, dt)
+            tensors = (p[key], m[key], v[key])
+            pf, mf, vf = flats = [a.reshape(-1) for a in tensors]  # copies if not contiguous
+            gf = grad.reshape(-1)
+            buf_a, buf_b = np.empty((2, min(gf.size, _ADAM_BLOCK)), dt)
+            for lo in range(0, gf.size, _ADAM_BLOCK):
+                blk = slice(lo, lo + _ADAM_BLOCK)
+                gb, pb, mb, vb = gf[blk], pf[blk], mf[blk], vf[blk]
+                a, b = buf_a[: gb.size], buf_b[: gb.size]
+                np.multiply(mb, b1, out=mb)
+                np.multiply(gb, k1, out=a)
+                np.add(mb, a, out=mb)
+                np.multiply(vb, b2, out=vb)
+                np.multiply(gb, k2, out=a)
+                np.multiply(a, gb, out=a)
+                np.add(vb, a, out=vb)
+                np.divide(mb, c1, out=a)
+                np.multiply(a, lr_dt, out=a)
+                np.divide(vb, c2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, eps_dt, out=b)
+                np.divide(a, b, out=a)
+                np.subtract(pb, a, out=pb)
+            for tensor, flat in zip(tensors, flats):
+                if not np.may_share_memory(tensor, flat):
+                    tensor[...] = flat.reshape(tensor.shape)
     return params
 
 
@@ -631,11 +672,19 @@ def network_forward(net: NetworkSpec, params: ParamState, batch: np.ndarray,
 
 def network_backward(net: NetworkSpec, params: ParamState, cache: ForwardCache,
                      dlogits: np.ndarray) -> list[dict[str, np.ndarray]]:
-    """Backpropagate dlogits through a train-mode cache; returns per-layer grads."""
+    """Backpropagate dlogits through a train-mode cache; returns per-layer grads.
+
+    Nothing reads the input gradient of layer 0, so that layer computes its
+    parameter gradients alone.
+    """
     grads: list[dict[str, np.ndarray]] = []
     g = dlogits
-    for lay, layer_cache in zip(reversed(net.layers), reversed(cache.layers)):
-        g, *param_grads = lay.backward(g, layer_cache)
+    for i in reversed(range(len(net.layers))):
+        lay, layer_cache = net.layers[i], cache.layers[i]
+        if i:
+            g, *param_grads = lay.backward(g, layer_cache)
+        else:
+            param_grads = lay.param_backward(g, layer_cache)
         grads.append(dict(zip(lay.trainable, param_grads)))
     return grads[::-1]
 

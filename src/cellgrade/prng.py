@@ -43,6 +43,9 @@ GOLDEN_SEED0 = (
 )
 
 
+_U64_BLOCK = 1 << 14  # words per block of u64()
+
+
 def _mix(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -60,15 +63,29 @@ class SeededPrng:
         return _mix(self.state)
 
     def u64(self, n: int) -> np.ndarray:
-        """n raw outputs as a uint64 array; identical to n next_u64() calls."""
-        steps = np.arange(1, n + 1, dtype=np.uint64)
-        states = np.uint64(self.state) + steps * np.uint64(_GAMMA)
-        z = states
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        """n raw outputs as a uint64 array; identical to n next_u64() calls.
+
+        Built in place one block of _U64_BLOCK words at a time, so the
+        temporaries stay in cache.
+        """
+        u = np.uint64
+        out = np.empty(n, dtype=u)
+        shifted = np.empty(min(n, _U64_BLOCK), dtype=u)
+        for lo in range(0, n, _U64_BLOCK):
+            z = out[lo : lo + _U64_BLOCK]
+            t = shifted[: z.size]
+            np.multiply(np.arange(lo + 1, lo + 1 + z.size, dtype=u), u(_GAMMA), out=z)
+            z += u(self.state)
+            np.right_shift(z, u(30), out=t)
+            z ^= t
+            z *= u(_MIX1)
+            np.right_shift(z, u(27), out=t)
+            z ^= t
+            z *= u(_MIX2)
+            np.right_shift(z, u(31), out=t)
+            z ^= t
         self.state = (self.state + n * _GAMMA) & _MASK64
-        return z
+        return out
 
     def uniform(self, shape=None) -> np.ndarray | float:
         """float64 uniforms in [0, 1) built from the top 53 bits."""

@@ -221,12 +221,21 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                  ["knn", "--bins", "0"],
                  ["cnn-train", "--reduced", "--batch", "0"],
                  ["cnn-train", "--reduced", "--lr", "nan"],
-                 ["cnn-train", "--reduced", "--lr", "0"]):
-        code = main([*args, "--data", str(out), "--out", str(tmp_path / "x")])
+                 ["cnn-train", "--reduced", "--lr", "0"],
+                 ["cnn-train", "--reduced", "--lr", "1e39"],  # finite, but inf in float32
+                 ["knn", "--metric", "minkowski", "--p", "nan"],
+                 ["knn", "--metric", "minkowski", "--p", "inf"],
+                 # over the decoder's 4096x4096 limit; 100000 would not fit in memory
+                 ["synth", "--n", "2", "--side", "4097"],
+                 ["synth", "--n", "2", "--side", "5000"],
+                 ["synth", "--n", "2", "--side", "100000"]):
+        data = [] if args[0] == "synth" else ["--data", str(out)]
+        code = main([*args, *data, "--out", str(tmp_path / "x")])
         assert code == 2, args
         err = capsys.readouterr().err
         assert err.startswith("configuration error") and err.count("\n") == 1, err
         assert not (tmp_path / "x.ckpt").exists(), args
+        assert not (tmp_path / "x").exists(), args
 
 
 def test_cli_exit_code_data_error(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Layer-level forward semantics and gradient correctness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellgrade.nn as nn
 from cellgrade.errors import ConfigError
@@ -94,6 +98,31 @@ def test_batch_norm_rejects_batch_of_one():
                                     np.zeros(3), np.ones(3), 1e-3, 0.99)
 
 
+def test_batch_norm_float32_stays_float32_and_within_3x_of_dy_in_memory():
+    rng = np.random.default_rng(3)
+    x = rng.normal(loc=0.5, scale=2.0, size=(32, 30, 30, 16)).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, 16).astype(np.float32)
+    beta = rng.normal(size=16).astype(np.float32)
+    stats = (np.zeros(16, np.float32), np.ones(16, np.float32))
+    y, cache, new_stats = nn.batch_norm_forward_train(x, gamma, beta, *stats, 1e-3, 0.9)
+    dy = rng.normal(size=x.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        grads = nn.batch_norm_backward(dy, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * dy.nbytes, peak / dy.nbytes
+    assert all(a.dtype == np.float32 for a in (y, *new_stats, *grads))
+    # within float32 rounding of the same kernels run in float64
+    y64, cache64, _ = nn.batch_norm_forward_train(*(a.astype(np.float64) for a in (x, gamma, beta)),
+                                                  *stats, 1e-3, 0.9)
+    grads64 = nn.batch_norm_backward(dy.astype(np.float64), cache64)
+    assert np.abs(y - y64).max() < 1e-4
+    for g, g64 in zip(grads, grads64):
+        assert np.abs(g - g64).max() <= 1e-5 * max(1.0, np.abs(g64).max())
+
+
 def test_batch_norm_gradients_vs_finite_differences():
     net = micro_net(nn.Conv2D(3, (3, 3)), nn.BatchNorm(3), nn.Flatten(), nn.Dense(2),
                     input_shape=(6, 6, 2))
@@ -171,6 +200,38 @@ def test_max_pool_tie_takes_first_in_window_order():
     dx = nn.max_pool_backward(np.ones_like(y), cache)
     assert dx[0, 0, 0, 0] == 1.0
     assert dx.sum() == 1.0
+
+
+def scatter_add_max_pool_backward(dy, cache):
+    """The np.add.at formulation max_pool_backward replaced."""
+    x_shape, arg, (ph, pw), (sh, sw) = cache
+    n, oh, ow, c = dy.shape
+    rows = (np.arange(oh) * sh)[None, :, None, None] + arg // pw
+    cols = (np.arange(ow) * sw)[None, None, :, None] + arg % pw
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    np.add.at(dx, (np.arange(n)[:, None, None, None], rows, cols, np.arange(c)), dy)
+    return dx
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_max_pool_backward_matches_scatter_add(data):
+    ph, pw, sh, sw = (data.draw(st.integers(1, 3)) for _ in range(4))
+    h, w = ph + data.draw(st.integers(0, 6)), pw + data.draw(st.integers(0, 6))
+    n, c = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    levels = data.draw(st.integers(1, 3))  # few distinct values force ties
+    x = rng.integers(0, levels, size=(n, h, w, c)).astype(dtype)
+    y, cache = nn.max_pool_forward(x, (ph, pw), (sh, sw))
+    dy = rng.normal(size=y.shape).astype(dtype)
+    dx = nn.max_pool_backward(dy, cache)
+    expected = scatter_add_max_pool_backward(dy, cache)
+    assert dx.dtype == dtype
+    if sh >= ph and sw >= pw:  # windows do not overlap: one addition per position
+        assert np.array_equal(dx, expected)
+    else:
+        np.testing.assert_allclose(dx, expected, rtol=1e-6, atol=1e-6)
 
 
 def test_pool_gradients_vs_finite_differences():
@@ -259,6 +320,32 @@ def test_end_to_end_reduced_style_network_gradients():
     # seed chosen so no sampled perturbation straddles a ReLU/argmax kink at this h
     report = check_gradients(net, batch=4, sample_count=20, h=1e-4, tol=1e-4, seed=6)
     assert len(report.per_layer) == 5  # two convs, one BN, two dense layers
+
+
+def test_first_layer_skips_only_its_input_gradient(monkeypatch):
+    net = nn.reduced_network()
+    params = nn.init_params(net, 3)
+    x = SeededPrng(4).uniform((4, 32, 32, 3)).astype(np.float32)
+    logits, cache = nn.network_forward(net, params, x, "train", SeededPrng(5))
+    _, _, dlogits = nn.softmax_cross_entropy(logits, np.array([0, 1, 1, 0]))
+    col2im_calls = []
+    col2im = nn._col2im
+
+    def counting_col2im(dcols, x_shape, sh, sw):
+        col2im_calls.append(x_shape)
+        return col2im(dcols, x_shape, sh, sw)
+
+    monkeypatch.setattr(nn, "_col2im", counting_col2im)
+    grads = nn.network_backward(net, params, cache, dlogits)
+    assert col2im_calls == [(4, 14, 14, 32), (4, 30, 30, 16)]  # layers 7 and 3, not 0
+    g = dlogits
+    for lay, layer_cache in zip(net.layers[:0:-1], cache.layers[:0:-1]):
+        g = lay.backward(g, layer_cache)[0]
+    dx, dkernel, dbias = nn.conv2d_backward(g, cache.layers[0])
+    assert dx.shape == x.shape
+    assert np.array_equal(grads[0]["kernel"], dkernel)
+    assert np.array_equal(grads[0]["bias"], dbias)
+    assert nn.conv2d_backward(g, cache.layers[0], input_grad=False)[0] is None
 
 
 def test_gradient_check_requires_float64():

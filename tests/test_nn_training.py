@@ -92,6 +92,58 @@ def test_adam_never_touches_moving_statistics():
     np.testing.assert_array_equal(params.layers[1]["moving_var"], np.ones(3, dtype=np.float32))
 
 
+def adam_unfused(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-7):
+    """The whole-tensor Adam update that the blocked adam_step replaced."""
+    params.step += 1
+    t = params.step
+    for p, m, v, g in zip(params.layers, params.adam_m, params.adam_v, grads):
+        for key, grad in g.items():
+            dt = p[key].dtype
+            b1, b2 = np.asarray(beta1, dt), np.asarray(beta2, dt)
+            m[key] = b1 * m[key] + (1 - b1) * grad
+            v[key] = b2 * v[key] + (1 - b2) * grad * grad
+            m_hat = m[key] / np.asarray(1.0 - beta1**t, dt)
+            v_hat = v[key] / np.asarray(1.0 - beta2**t, dt)
+            p[key] -= np.asarray(lr, dt) * m_hat / (np.sqrt(v_hat) + np.asarray(eps, dt))
+
+
+def one_tensor_state(values):
+    return nn.ParamState([{"w": values}], [{"w": np.zeros_like(values)}],
+                         [{"w": np.zeros_like(values)}])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [1, nn._ADAM_BLOCK - 1, nn._ADAM_BLOCK, 2 * nn._ADAM_BLOCK + 7])
+def test_adam_step_is_bytewise_the_unfused_update(dtype, size):
+    rng = np.random.default_rng(size)
+    blocked = one_tensor_state(rng.normal(size=size).astype(dtype))
+    unfused = clone(blocked)
+    held = blocked.layers[0]["w"]
+    for _ in range(3):
+        grads = [{"w": rng.normal(size=size).astype(dtype)}]
+        nn.adam_step(blocked, grads, lr=3e-3)
+        adam_unfused(unfused, grads, lr=3e-3)
+    for name in ("layers", "adam_m", "adam_v"):
+        a, b = getattr(blocked, name)[0]["w"], getattr(unfused, name)[0]["w"]
+        assert a.dtype == dtype and np.array_equal(a, b), name
+    assert blocked.layers[0]["w"] is held
+
+
+def test_adam_step_updates_non_contiguous_tensors_in_place():
+    rng = np.random.default_rng(1)
+    p, m, v = (rng.normal(size=(40, 30)).astype(np.float32).T for _ in range(3))
+    blocked = nn.ParamState([{"w": p}], [{"w": m}], [{"w": np.abs(v)}])
+    unfused = clone(blocked)
+    held = [getattr(blocked, name)[0]["w"] for name in ("layers", "adam_m", "adam_v")]
+    for _ in range(3):
+        grads = [{"w": rng.normal(size=(30, 40)).astype(np.float32)}]
+        nn.adam_step(blocked, grads, lr=1e-2)
+        adam_unfused(unfused, grads, lr=1e-2)
+    for name, array in zip(("layers", "adam_m", "adam_v"), held):
+        assert getattr(blocked, name)[0]["w"] is array
+        assert np.array_equal(array, getattr(unfused, name)[0]["w"]), name
+
+
 # -- forward/eval determinism ---------------------------------------------------
 
 def test_eval_forward_is_deterministic():

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from cellgrade import prng
 from cellgrade.prng import GOLDEN_SEED0, SeededPrng
 
 MASK = (1 << 64) - 1
@@ -41,6 +42,15 @@ def test_matches_oracle_for_many_seeds():
     rng = np.random.default_rng(5)
     for seed in rng.integers(0, 2**63, size=20):
         assert [int(v) for v in SeededPrng(int(seed)).u64(50)] == reference_splitmix64(int(seed), 50)
+
+
+def test_u64_across_blocks_matches_scalar_draws_and_oracle():
+    n = 3 * prng._U64_BLOCK + 5
+    a, b = SeededPrng(0xC0FFEE), SeededPrng(0xC0FFEE)
+    batch = [int(v) for v in a.u64(n)]
+    assert batch == [b.next_u64() for _ in range(n)]
+    assert batch == reference_splitmix64(0xC0FFEE, n)
+    assert a.state == b.state
 
 
 def test_uniform_range_and_determinism():
