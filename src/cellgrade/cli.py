@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: knn, cnn-train, cnn-eval, synth. Exit codes: 0 success,
-2 configuration error, 3 data error, 4 checkpoint integrity error.
+2 configuration error, 3 data error (a file-system error included),
+4 checkpoint integrity error.
 """
 
 from __future__ import annotations
@@ -13,18 +14,25 @@ from .errors import ConfigError, DataError, IntegrityError, ShapeError
 from .harness import cmd_cnn_eval, cmd_cnn_train, cmd_knn, cmd_synth
 from .knn import DistanceMetric
 
+_MAX_K_VALUES = 2**20
+
 
 def parse_k_list(text: str) -> list[int]:
-    """Comma-separated integers; 'a-b' spans are inclusive (e.g. '1-150,200')."""
+    """Comma-separated integers; 'a-b' spans are inclusive (e.g. '1-150,200').
+
+    At most 2**20 values in all; a span is counted before it is expanded.
+    """
     values: list[int] = []
     try:
         for part in text.split(","):
             part = part.strip()
             if "-" in part[1:]:
-                lo, hi = part.split("-", 1)
-                values.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(v) for v in part.split("-", 1))
             else:
-                values.append(int(part))
+                lo = hi = int(part)
+            if len(values) + hi - lo + 1 > _MAX_K_VALUES:
+                raise ConfigError(f"k list {text!r} has more than {_MAX_K_VALUES} values")
+            values.extend(range(lo, hi + 1))
     except ValueError:
         raise ConfigError(f"k list {text!r} must be integers or 'a-b' spans") from None
     if not values:
@@ -136,6 +144,9 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -52,6 +52,7 @@ from .knn import DistanceMetric, k_sweep
 from .nn import (
     NetworkSpec,
     ParamState,
+    check_batch_size,
     evaluate,
     init_params,
     param_shapes,
@@ -336,8 +337,6 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     with np.errstate(over="ignore"):
         lr32 = np.float32(lr)  # the parameters' dtype, in which Adam applies lr
     if not (np.isfinite(lr32) and lr32 > 0):
@@ -349,6 +348,7 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     train_idx, val_idx = train_val_split_indices(y, val_frac, seed)
     x_train, y_train = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
+    check_batch_size(net, y_train.size, batch_size)
 
     master = SeededPrng(seed)
     params = init_params(net, master.split(), dtype=np.float32)

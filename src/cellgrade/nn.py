@@ -695,6 +695,18 @@ def commit_bn_updates(params: ParamState, cache: ForwardCache) -> None:
         params.layers[i]["moving_var"] = new_var
 
 
+def check_batch_size(net: NetworkSpec, n: int, batch_size: int) -> None:
+    """Reject a batch size that would hand batch norm a batch of one sample."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if any(lay.kind == "batch_norm" for lay in net.layers) and 1 in (batch_size, n % batch_size):
+        raise ConfigError(
+            f"batch_size {batch_size} over {n} training samples makes "
+            f"{'batches' if batch_size == 1 else 'a trailing batch'} of 1 sample, "
+            "which batch normalization cannot train on"
+        )
+
+
 def train_epoch(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarray,
                 batch_size: int, rng: SeededPrng, lr: float = 1e-3,
                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-7):
@@ -706,14 +718,7 @@ def train_epoch(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarr
     n = x.shape[0]
     if n == 0:
         raise ConfigError("train_epoch needs a non-empty dataset")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    has_bn = any(lay.kind == "batch_norm" for lay in net.layers)
-    if has_bn and n % batch_size == 1:
-        raise ConfigError(
-            f"batch_size {batch_size} leaves a trailing batch of 1 sample, "
-            "which batch normalization cannot train on"
-        )
+    check_batch_size(net, n, batch_size)
     loss_sum, correct = 0.0, 0
     for idx in batch_iter(n, batch_size, shuffle=True, rng=rng):
         xb, yb = x[idx], y[idx]

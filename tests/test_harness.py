@@ -2,6 +2,7 @@ import hashlib
 import json
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import cellgrade.nn as nn
 from cellgrade import harness
 from cellgrade.cli import main, parse_k_list
 from cellgrade.data import load_dataset, train_val_split_indices
-from cellgrade.errors import IntegrityError
+from cellgrade.errors import ConfigError, IntegrityError
 from cellgrade.harness import (
     load_checkpoint,
     read_checkpoint_tensors,
@@ -220,6 +221,9 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                  ["cnn-train", "--reduced", "--dropout="],  # empty list, not the preset
                  ["knn", "--bins", "0"],
                  ["cnn-train", "--reduced", "--batch", "0"],
+                 ["cnn-train", "--batch", "1"],  # batch norm cannot train on one sample
+                 ["cnn-train", "--reduced", "--batch", "9"],  # 10 training images: a trailing 1
+                 ["knn", "--k", "1-1000000000000"],  # over the 2**20-value cap
                  ["cnn-train", "--reduced", "--lr", "nan"],
                  ["cnn-train", "--reduced", "--lr", "0"],
                  ["cnn-train", "--reduced", "--lr", "1e39"],  # finite, but inf in float32
@@ -243,6 +247,22 @@ def test_cli_exit_code_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 3
     assert "data error" in capsys.readouterr().err
+    # file-system errors end the same way, with one line and no traceback
+    out = tmp_path / "ds"
+    main(["synth", "--out", str(out), "--n", "12", "--side", "24", "--seed", "0"])
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    capsys.readouterr()
+    for args in (["cnn-eval", "--checkpoint", str(tmp_path / "nonexistent.ckpt"), "--reduced",
+                  "--out", str(tmp_path / "e.json")],
+                 ["cnn-eval", "--checkpoint", str(out), "--reduced",
+                  "--out", str(tmp_path / "e.json")],
+                 ["knn", "--k", "1", "--folds", "2", "--out", str(plain / "x")],
+                 ["cnn-train", "--reduced", "--epochs", "0", "--out", str(plain / "x")]):
+        code = main([*args, "--data", str(out)])
+        assert code == 3, args
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and err.count("\n") == 1, err
 
 
 def test_cli_exit_code_integrity_error(tmp_path, capsys):
@@ -268,3 +288,18 @@ def test_parse_k_list():
     assert parse_k_list("10") == [10]
     assert parse_k_list("1,5,10") == [1, 5, 10]
     assert parse_k_list("1-4,9") == [1, 2, 3, 4, 9]
+
+
+def test_parse_k_list_caps_values_before_expanding():
+    assert len(parse_k_list(f"1-{2**20}")) == 2**20
+    with pytest.raises(ConfigError, match="more than 1048576 values"):
+        parse_k_list(f"1-{2**20},5")
+    tracemalloc.start()
+    try:
+        for text in ("1-1000000000000", f"1-{10**30}"):
+            with pytest.raises(ConfigError, match="more than 1048576 values"):
+                parse_k_list(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

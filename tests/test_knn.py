@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellgrade import knn
+from cellgrade.data import stratified_fold_indices
 from cellgrade.errors import ConfigError, ShapeError
 from cellgrade.knn import (
     EUCLIDEAN,
@@ -297,3 +299,56 @@ def test_k_sweep_consistent_with_per_query_path():
             model = KnnModel(x[train], y[train], k=3, metric=metric)
             correct = sum(predict(k_nearest(model, x[v])) == y[v] for v in val)
             assert report.accuracies[fold] == correct / val.size
+
+
+# -- one distance kernel --------------------------------------------------------
+
+@given(st.data(), st.sampled_from(["manhattan", "hamming", "minkowski"]))
+@settings(max_examples=60, deadline=None)
+def test_batched_paths_match_the_row_kernel_bytewise(data, variant):
+    """_pairwise_distances rows are _row_distances bytes, and k_sweep's folds
+    order neighbours exactly as k_nearest does, ties included."""
+    n = data.draw(st.integers(6, 24))
+    d = data.draw(st.integers(1, 6))
+    folds = data.draw(st.integers(2, 3))
+    # four grid levels per coordinate force exact distance ties
+    grid = st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)
+    x = np.array(data.draw(grid), dtype=np.float64).reshape(n, d) / 4.0
+    p = data.draw(st.sampled_from([1.0, 2.5, 3.0]))
+    metric = minkowski(p) if variant == "minkowski" else DistanceMetric(variant)
+    pairwise = knn._pairwise_distances(metric, x[: n // 2], x)
+    for i, q in enumerate(x[: n // 2]):
+        assert pairwise[i].tobytes() == knn._row_distances(metric, x, q).tobytes()
+
+    y = np.arange(n) % 2
+    assignment = stratified_fold_indices(y, folds, 0)
+    k = data.draw(st.integers(1, min(np.sum(assignment != f) for f in range(folds))))
+    # train indices stand in for labels, so the fold scorer hands back its order
+    per_fold = knn._fold_sorted_labels(x, np.arange(n), assignment, folds, metric, k)
+    for f, (order, val) in enumerate(per_fold):
+        train = np.flatnonzero(assignment != f)
+        model = KnnModel(x[train], y[train], k=k, metric=metric)
+        for row, v in zip(order, val):
+            assert row.tolist() == train[k_nearest(model, x[v]).indices].tolist()
+
+
+@pytest.mark.parametrize("metric", [MANHATTAN, minkowski(2.5)], ids=lambda m: m.label)
+def test_pairwise_distances_memory_is_a_few_train_matrices(metric):
+    m, n, d = 150, 450, 512
+    rng = np.random.default_rng(16)
+    queries, x = rng.uniform(size=(m, d)), rng.uniform(size=(n, d))
+    tracemalloc.start()
+    try:
+        knn._pairwise_distances(metric, queries, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * d * 8 + 2 * m * n * 8, peak / (n * d * 8)
+
+
+def test_non_binary_labels_rejected():
+    x = np.zeros((6, 2))
+    with pytest.raises(ConfigError, match="labels must be 0 or 1, got 2"):
+        KnnModel(x, np.array([0, 1, 2, 0, 1, 0]), k=1)
+    with pytest.raises(ConfigError, match="labels must be 0 or 1, got -1"):
+        k_sweep(x, np.array([0, 1, -1, 0, 1, 1]), [1], folds=2)
