@@ -16,13 +16,10 @@ Everything is seeded and deterministic: same inputs, same seed, same bytes.
 __version__ = "0.1.0"
 
 from .data import (
-    FoldAssignment,
     LabeledDataset,
     batch_iter,
     load_dataset,
-    stratified_folds,
     synth_generate,
-    train_val_split,
 )
 from .errors import (
     CellgradeError,
@@ -49,7 +46,6 @@ from .knn import (
     DistanceMetric,
     KnnModel,
     NeighborSet,
-    class_probabilities,
     cross_validate,
     distance,
     k_nearest,

@@ -54,9 +54,6 @@ class LabeledDataset:
         labels = self.labels
         return int(np.sum(labels == 0)), int(np.sum(labels == 1))
 
-    def subset(self, indices) -> "LabeledDataset":
-        return LabeledDataset(tuple(self.items[int(i)] for i in indices))
-
 
 _CLASS_DIRS = (("Parasitized", 1), ("Uninfected", 0))
 
@@ -78,17 +75,6 @@ def load_dataset(root) -> LabeledDataset:
     return LabeledDataset(tuple(items))
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    folds: int
-    assignment: np.ndarray  # per-item fold index
-    seed: int
-
-    @property
-    def digest(self) -> str:
-        return fold_assignment_hash(self.assignment, self.folds, self.seed)
-
-
 def stratified_fold_indices(labels, folds: int, seed: int) -> np.ndarray:
     """Per-class seeded shuffle, then round-robin fold assignment.
 
@@ -108,10 +94,6 @@ def stratified_fold_indices(labels, folds: int, seed: int) -> np.ndarray:
         shuffled = members[rng.permutation(members.size)]
         assignment[shuffled] = np.arange(members.size) % folds
     return assignment
-
-
-def stratified_folds(dataset: LabeledDataset, folds: int, seed: int) -> FoldAssignment:
-    return FoldAssignment(folds, stratified_fold_indices(dataset.labels, folds, seed), seed)
 
 
 def fold_assignment_hash(assignment: np.ndarray, folds: int, seed: int) -> str:
@@ -141,11 +123,6 @@ def train_val_split_indices(labels, val_fraction: float, seed: int):
             f"degenerate split: {train_idx.size} train / {val_idx.size} val samples"
         )
     return train_idx, val_idx
-
-
-def train_val_split(dataset: LabeledDataset, val_fraction: float = 0.2, seed: int = 0):
-    train_idx, val_idx = train_val_split_indices(dataset.labels, val_fraction, seed)
-    return dataset.subset(train_idx), dataset.subset(val_idx)
 
 
 def batch_iter(n_items: int, batch_size: int, shuffle: bool, rng: SeededPrng | int | None = None):

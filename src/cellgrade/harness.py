@@ -88,7 +88,7 @@ def _config_block(config: ExperimentConfig, extra: dict | None = None) -> list[s
     return lines
 
 
-def _atomic_write(path, data: bytes) -> None:
+def _atomic_write(path, data: bytes | bytearray) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
@@ -186,16 +186,16 @@ def save_checkpoint(params: ParamState, net: NetworkSpec, path) -> None:
         out += struct.pack("<I", arr.ndim)
         out += struct.pack(f"<{arr.ndim}Q", *arr.shape)
         out += arr.astype("<f4").tobytes()
-    out += struct.pack("<Q", int.from_bytes(hashlib.sha256(bytes(out)).digest()[:8], "little"))
-    _atomic_write(path, bytes(out))
+    out += struct.pack("<Q", int.from_bytes(hashlib.sha256(out).digest()[:8], "little"))
+    _atomic_write(path, out)
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.pos + n > len(self.data):
             raise IntegrityError(f"checkpoint truncated while reading {what} at offset {self.pos}")
         chunk = self.data[self.pos : self.pos + n]
@@ -214,23 +214,24 @@ def read_checkpoint_tensors(path) -> tuple[dict[str, np.ndarray], int]:
     if version != CHECKPOINT_VERSION:
         raise IntegrityError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     stored = struct.unpack("<Q", data[-8:])[0]
-    actual = int.from_bytes(hashlib.sha256(data[:-8]).digest()[:8], "little")
+    payload = memoryview(data)[:-8]  # read in place: no copy of the payload
+    actual = int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
     if stored != actual:
         raise IntegrityError(f"payload checksum mismatch: stored {stored:#x}, computed {actual:#x}")
 
-    r = _Reader(data[:-8])
+    r = _Reader(payload)
     r.pos = 8
     (digest,) = struct.unpack("<Q", r.take(8, "spec digest"))
     (count,) = struct.unpack("<I", r.take(4, "tensor count"))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", r.take(4, "name length"))
-        name = r.take(name_len, "tensor name").decode("utf-8")
+        name = str(r.take(name_len, "tensor name"), "utf-8")
         (rank,) = struct.unpack("<I", r.take(4, "rank"))
         dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, "dims"))
         size = int(np.prod(dims)) if rank else 1
         values = np.frombuffer(r.take(4 * size, f"values of {name!r}"), dtype="<f4")
-        tensors[name] = values.reshape(dims).astype(np.float32)
+        tensors[name] = values.reshape(dims).astype(np.float32)  # a writable copy: Adam updates it
     if r.pos != len(r.data):
         raise IntegrityError(f"{len(r.data) - r.pos} trailing bytes after the last tensor")
     return tensors, digest

@@ -141,15 +141,6 @@ def predict(neighbors: NeighborSet) -> int:
     return int(_vote(neighbors.labels[None, :], len(neighbors))[0])
 
 
-def class_probabilities(neighbors: NeighborSet) -> dict[int, float]:
-    """P(c) = count(c) / k for the two classes."""
-    if len(neighbors) == 0:
-        raise ConfigError("cannot compute probabilities of an empty neighbour set")
-    k = len(neighbors)
-    count1 = int(np.sum(neighbors.labels == 1))
-    return {0: (k - count1) / k, 1: count1 / k}
-
-
 def _pairwise_distances(metric: DistanceMetric, queries: np.ndarray, x: np.ndarray) -> np.ndarray:
     """All query-to-train distances, (M, N): one _row_distances per query.
 

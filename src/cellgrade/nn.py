@@ -2,7 +2,8 @@
 
 Layer types: valid-padding convolution, batch normalization, inverted
 dropout, max/average pooling, flatten, dense, ReLU, and a softmax
-cross-entropy head. Convolution is cross-correlation (no kernel flip).
+cross-entropy head. Convolution is cross-correlation (no kernel flip) over
+im2col windows; pooling loops over window offsets, one strided slice each.
 Tensors are plain C-order numpy arrays; float32 for training, float64 for
 gradient checking. Every kernel computes in its input's dtype, so a float32
 training step runs in float32 end to end.
@@ -10,9 +11,9 @@ training step runs in float32 end to end.
 A network is a NetworkSpec (ordered layer descriptions); its weights live in
 a separate ParamState. Forward passes are pure: train-mode batch-norm
 returns its moving-statistic updates in the cache instead of mutating
-anything, and the training loop commits them. A ParamState belongs to one
-training loop at a time; evaluation against a snapshot of it is safe from
-any number of threads.
+anything, and the training loop commits them; eval passes keep no cache. A
+ParamState belongs to one training loop at a time; evaluation against a
+snapshot of it is safe from any number of threads.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class _Layer:
         return self.backward(g, cache)[1:]
 
 
-def _window_shape(in_shape, window, stride, channels):
-    """Valid padding: spatial extents are floor((in - window) / stride) + 1."""
+def _window_shape(in_shape, window, stride):
+    """Valid padding: (OH, OW), each floor((in - window) / stride) + 1."""
     if len(in_shape) != 3:
         raise ShapeError(f"needs a (H, W, C) input, got {in_shape}")
     h, w, _ = in_shape
@@ -68,7 +69,7 @@ def _window_shape(in_shape, window, stride, channels):
     if h < wh or w < ww:
         raise ShapeError(f"window {wh}x{ww} exceeds input {h}x{w}")
     sh, sw = stride
-    return (h - wh) // sh + 1, (w - ww) // sw + 1, channels
+    return (h - wh) // sh + 1, (w - ww) // sw + 1
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class Conv2D(_Layer):
             raise ConfigError(f"conv2d sizes must be >= 1: {self}")
 
     def out_shape(self, in_shape):
-        return _window_shape(in_shape, self.kernel, self.stride, self.filters)
+        return (*_window_shape(in_shape, self.kernel, self.stride), self.filters)
 
     def param_shapes(self, in_shape):
         return {"kernel": (*self.kernel, in_shape[-1], self.filters), "bias": (self.filters,)}
@@ -142,7 +143,7 @@ class Dropout(_Layer):
 
     def forward(self, h, p, train, rng):
         if train and self.rate > 0.0:
-            return dropout_forward(h, self.rate, "train", rng)
+            return dropout_forward(h, self.rate, rng)
         return h, None
 
     def backward(self, g, mask):
@@ -159,7 +160,7 @@ class _Pool(_Layer):
             raise ConfigError(f"{self.kind} sizes must be >= 1: {self}")
 
     def out_shape(self, in_shape):
-        return _window_shape(in_shape, self.pool, self.stride, in_shape[-1])
+        return (*_window_shape(in_shape, self.pool, self.stride), in_shape[-1])
 
 
 @dataclass(frozen=True)
@@ -401,8 +402,17 @@ def _init_tensor(name: str, shape: tuple[int, ...], rng: SeededPrng, dtype) -> n
 # Layer forward/backward primitives
 # --------------------------------------------------------------------------
 
+def _offsets(window, stride, out_hw):
+    """For each window offset (i, j), in row-major order, the strided NHWC slice
+    holding element (i, j) of every window: shape (N, OH, OW, C)."""
+    (wh, ww), (sh, sw), (oh, ow) = window, stride, out_hw
+    for i in range(wh):
+        for j in range(ww):
+            yield np.s_[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :]
+
+
 def _im2col(x: np.ndarray, wh: int, ww: int, sh: int, sw: int) -> np.ndarray:
-    """Extract strided windows: (N, OH, OW, wh, ww, C)."""
+    """Copy out strided windows: (N, OH, OW, wh, ww, C). Convolution alone needs them."""
     win = sliding_window_view(x, (wh, ww), axis=(1, 2))  # N, H', W', C, wh, ww
     win = win[:, ::sh, ::sw]
     return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
@@ -411,26 +421,22 @@ def _im2col(x: np.ndarray, wh: int, ww: int, sh: int, sw: int) -> np.ndarray:
 def _col2im(dcols: np.ndarray, x_shape, sh: int, sw: int) -> np.ndarray:
     """Scatter-add window gradients (N, OH, OW, wh, ww, C) onto the input."""
     n, oh, ow, wh, ww, c = dcols.shape
+    per_offset = dcols.reshape(n, oh, ow, wh * ww, c)
     dx = np.zeros(x_shape, dtype=dcols.dtype)
-    for i in range(wh):
-        for j in range(ww):
-            dx[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :] += dcols[:, :, :, i, j, :]
+    for k, win in enumerate(_offsets((wh, ww), (sh, sw), (oh, ow))):
+        dx[win] += per_offset[:, :, :, k]
     return dx
 
 
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                    stride: tuple[int, int]):
     """Valid cross-correlation of (N,H,W,C) with kernel (kh,kw,C,F) plus bias."""
-    n, h, w, c = x.shape
+    n, c = x.shape[0], x.shape[-1]
     kh, kw, kc, f = kernel.shape
     if kc != c:
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {kc}")
-    if h < kh or w < kw:
-        raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds input {h}x{w}")
-    sh, sw = stride
-    cols = _im2col(x, kh, kw, sh, sw)
-    oh, ow = cols.shape[1], cols.shape[2]
-    flat = cols.reshape(n * oh * ow, kh * kw * c)
+    oh, ow = _window_shape(x.shape[1:], (kh, kw), stride)
+    flat = _im2col(x, kh, kw, *stride).reshape(n * oh * ow, kh * kw * c)
     y = flat @ kernel.reshape(kh * kw * c, f) + bias
     cache = (x.shape, flat, kernel, stride, (oh, ow))
     return y.reshape(n, oh, ow, f), cache
@@ -495,10 +501,8 @@ def batch_norm_backward(dy, cache):
     return dx.reshape(dy.shape), dgamma, dbeta
 
 
-def dropout_forward(x, rate: float, mode: str, rng: SeededPrng | None):
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode."""
-    if mode == "eval" or rate == 0.0:
-        return x, np.ones(x.shape, dtype=bool)
+def dropout_forward(x, rate: float, rng: SeededPrng | None):
+    """Inverted dropout, survivors scaled by 1/(1-rate): a Dropout layer in train mode."""
     if rng is None:
         raise ConfigError("train-mode dropout needs a SeededPrng")
     mask = rng.uniform(x.shape) >= rate
@@ -511,47 +515,42 @@ def dropout_backward(dy, mask, rate: float):
 
 
 def max_pool_forward(x, pool: tuple[int, int], stride: tuple[int, int]):
-    """Per-window maximum; ties keep the first position in row-major order."""
-    n, h, w, c = x.shape
-    ph, pw = pool
-    if h < ph or w < pw:
-        raise ShapeError(f"max_pool: window {ph}x{pw} exceeds input {h}x{w}")
-    win = _im2col(x, ph, pw, *stride)  # N, OH, OW, ph, pw, C
-    n, oh, ow = win.shape[:3]
-    flat = win.transpose(0, 1, 2, 5, 3, 4).reshape(n, oh, ow, c, ph * pw)
-    arg = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    """Per-window maximum and its offset k = i*pw + j, one window offset at a
+    time; ties keep the first position in row-major order."""
+    offsets = _offsets(pool, stride, _window_shape(x.shape[1:], pool, stride))
+    y = x[next(offsets)].copy()
+    arg = np.zeros(y.shape, dtype=np.intp)
+    for k, win in enumerate(offsets, start=1):
+        view = x[win]
+        arg = np.where(view > y, k, arg)
+        np.maximum(view, y, out=y)  # on 0.0 vs -0.0, numpy returns the second operand: y
     return y, (x.shape, arg, pool, stride)
 
 
 def max_pool_backward(dy, cache):
     """Routes each upstream gradient to its window's argmax position, one
-    window offset at a time through strided views of dx."""
-    x_shape, arg, (ph, pw), (sh, sw) = cache
-    n, oh, ow, c = dy.shape
+    window offset at a time."""
+    x_shape, arg, pool, stride = cache
     dx = np.zeros(x_shape, dtype=dy.dtype)
-    for i in range(ph):
-        for j in range(pw):
-            dx[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :] += np.where(arg == i * pw + j, dy, 0)
+    for k, win in enumerate(_offsets(pool, stride, dy.shape[1:3])):
+        dx[win] += np.where(arg == k, dy, 0)
     return dx
 
 
 def avg_pool_forward(x, pool: tuple[int, int], stride: tuple[int, int]):
-    n, h, w, c = x.shape
-    ph, pw = pool
-    if h < ph or w < pw:
-        raise ShapeError(f"avg_pool: window {ph}x{pw} exceeds input {h}x{w}")
-    win = _im2col(x, ph, pw, *stride)
-    y = win.mean(axis=(3, 4))
+    """Per-window mean: 0 plus each window offset's slice in row-major order."""
+    offsets = _offsets(pool, stride, _window_shape(x.shape[1:], pool, stride))
+    y = sum(x[win] for win in offsets) / np.asarray(pool[0] * pool[1], dtype=x.dtype)
     return y, (x.shape, pool, stride)
 
 
 def avg_pool_backward(dy, cache):
-    x_shape, (ph, pw), (sh, sw) = cache
-    n, oh, ow, c = dy.shape
-    share = dy / np.asarray(ph * pw, dtype=dy.dtype)
-    dcols = np.broadcast_to(share[:, :, :, None, None, :], (n, oh, ow, ph, pw, c))
-    return _col2im(dcols, x_shape, sh, sw)
+    x_shape, pool, stride = cache
+    share = dy / np.asarray(pool[0] * pool[1], dtype=dy.dtype)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    for win in _offsets(pool, stride, dy.shape[1:3]):
+        dx[win] += share
+    return dx
 
 
 def dense_forward(x, weights, bias):
@@ -642,7 +641,7 @@ def adam_step(params: ParamState, grads: list[dict[str, np.ndarray]],
 
 @dataclass
 class ForwardCache:
-    """Everything backward needs, one entry per layer, plus pending BN updates."""
+    """What backward needs from a train-mode pass: per-layer entries, pending BN updates."""
 
     layers: list = field(default_factory=list)
     bn_updates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
@@ -653,8 +652,8 @@ def network_forward(net: NetworkSpec, params: ParamState, batch: np.ndarray,
     """Apply all layers in order; returns (logits, ForwardCache).
 
     mode "train" uses batch statistics and live dropout (drawing masks from
-    rng); mode "eval" uses moving statistics and identity dropout. The cache
-    is only populated meaningfully in train mode.
+    rng) and fills the cache; mode "eval" uses moving statistics and identity
+    dropout and keeps no cache, so no layer's intermediates outlive the next.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -665,8 +664,9 @@ def network_forward(net: NetworkSpec, params: ParamState, batch: np.ndarray,
     cache = ForwardCache()
     for i, (lay, p) in enumerate(zip(net.layers, params.layers)):
         h, layer_cache, *bn_update = lay.forward(h, p, mode == "train", rng)
-        cache.layers.append(layer_cache)
-        cache.bn_updates.extend((i, *upd) for upd in bn_update)
+        if mode == "train":
+            cache.layers.append(layer_cache)
+            cache.bn_updates.extend((i, *upd) for upd in bn_update)
     return h, cache
 
 

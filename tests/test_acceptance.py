@@ -200,8 +200,8 @@ def test_criterion_4_property_battery():
 
     # dropout eval identity and train-mode mean preservation
     ones = np.ones((100, 100))
-    out_eval, _ = nn.dropout_forward(ones, 0.7, "eval", None)
-    out_train, _ = nn.dropout_forward(ones, 0.5, "train", SeededPrng(5))
+    out_eval, _ = nn.Dropout(0.7).forward(ones, {}, False, None)
+    out_train, _ = nn.Dropout(0.5).forward(ones, {}, True, SeededPrng(5))
     check("dropout_eval", np.array_equal(out_eval, ones))
     check("dropout_mean", abs(out_train.mean() - 1.0) < 0.05)
 
@@ -273,7 +273,7 @@ NIH_DIR = os.environ.get("CELLGRADE_NIH_DIR")
 
 @pytest.mark.skipif(not NIH_DIR, reason="set CELLGRADE_NIH_DIR to the 27,558-image corpus root")
 def test_criterion_7_extended_corpus(tmp_path):
-    """kNN raw 0.5564 +- 0.04, hist(k=10) 0.747 +- 0.04, full CNN val >= 0.90.
+    """kNN raw 0.5564 +- 0.04, hist(k=10) 0.747 +- 0.04, full CNN last-epoch val >= 0.90.
 
     The kNN legs take tens of minutes; the CNN leg takes hours on CPU.
     """
@@ -285,7 +285,7 @@ def test_criterion_7_extended_corpus(tmp_path):
     hist_mean = hist["results"][0]["mean_accuracy"]
     cnn = harness.cmd_cnn_train(NIH_DIR, reduced=False, epochs=10, batch_size=32,
                                 lr=1e-3, seed=0, out_prefix=str(tmp_path / "cnn"))
-    val_acc = max(row["val_acc"] for row in cnn["curve"])
+    val_acc = cnn["curve"][-1]["val_acc"]  # the last epoch, as criterion 5b reads it
     ok = (abs(raw_mean - 0.5564) <= 0.04 and abs(hist_mean - 0.747) <= 0.04
           and val_acc >= 0.90)
     report(7, ok, f"raw={raw_mean:.4f} hist={hist_mean:.4f} cnn_val={val_acc:.4f}")

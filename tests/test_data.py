@@ -8,11 +8,10 @@ import pytest
 from cellgrade import data, harness, imaging, png
 from cellgrade.data import (
     batch_iter,
+    fold_assignment_hash,
     load_dataset,
     stratified_fold_indices,
-    stratified_folds,
     synth_generate,
-    train_val_split,
     train_val_split_indices,
 )
 from cellgrade.errors import ConfigError, DataError
@@ -110,12 +109,16 @@ def test_stratified_folds_class_too_small():
         stratified_fold_indices(labels, 4, seed=0)
 
 
-def test_fold_assignment_object(tmp_path):
+def test_fold_assignment_hash(tmp_path):
     make_tree(tmp_path, 4, 4)
-    ds = load_dataset(tmp_path)
-    fa = stratified_folds(ds, 2, seed=3)
-    assert fa.folds == 2 and fa.seed == 3
-    assert len(fa.digest) == 16
+    labels = load_dataset(tmp_path).labels
+    assignment = stratified_fold_indices(labels, 2, seed=3)
+    digest = fold_assignment_hash(assignment, 2, 3)
+    assert len(digest) == 16 and int(digest, 16) >= 0
+    assert digest == fold_assignment_hash(stratified_fold_indices(labels, 2, seed=3), 2, 3)
+    # the digest names the fold count and the seed as well as the assignment
+    assert len({digest, fold_assignment_hash(assignment, 3, 3),
+                fold_assignment_hash(assignment, 2, 4)}) == 3
 
 
 # -- train/val split ---------------------------------------------------------------
@@ -136,8 +139,8 @@ def test_split_four_items_fraction_05():
 def test_split_union_restores_everything(tmp_path):
     make_tree(tmp_path, 6, 6)
     ds = load_dataset(tmp_path)
-    train, val = train_val_split(ds, 0.25, seed=9)
-    ids = sorted(it.sample_id for it in train.items) + sorted(it.sample_id for it in val.items)
+    train, val = train_val_split_indices(ds.labels, 0.25, seed=9)
+    ids = [ds.items[i].sample_id for i in (*train, *val)]
     assert sorted(ids) == sorted(it.sample_id for it in ds.items)
     assert len(set(ids)) == len(ds)
 

@@ -62,6 +62,25 @@ def test_checkpoint_roundtrip_preserves_eval_logits(tmp_path, net_and_params):
     np.testing.assert_array_equal(before, after)
 
 
+def test_checkpoint_io_copies_its_payload_at_most_once(tmp_path):
+    net = nn.reduced_network()
+    params = nn.init_params(net, 3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, net, path)
+    size = path.stat().st_size
+    peaks = []
+    for io in (lambda: save_checkpoint(params, net, path), lambda: load_checkpoint(path, net)):
+        tracemalloc.start()
+        try:
+            result = io()
+            peaks.append(tracemalloc.get_traced_memory()[1] / size)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 1.7 and peaks[1] < 2.5, peaks
+    loaded, _ = result
+    assert all(a.flags.writeable for layer in loaded.layers for a in layer.values())
+
+
 def test_checkpoint_wrong_magic(tmp_path, net_and_params):
     net, params = net_and_params
     path = tmp_path / "m.ckpt"

@@ -16,7 +16,6 @@ from cellgrade.knn import (
     DistanceMetric,
     KnnModel,
     NeighborSet,
-    class_probabilities,
     cross_validate,
     distance,
     k_nearest,
@@ -179,6 +178,10 @@ def test_k_nearest_matches_exhaustive_oracle():
 def test_predict_majority():
     nb = NeighborSet(np.arange(3), np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0]))
     assert predict(nb) == 1
+    nb = NeighborSet(np.arange(10), np.arange(10.0), np.array([1] * 3 + [0] * 7))
+    assert predict(nb) == 0
+    nb = NeighborSet(np.arange(3), np.arange(3.0), np.array([1, 1, 1]))
+    assert predict(nb) == 1
 
 
 def test_predict_tie_goes_to_nearest():
@@ -186,6 +189,8 @@ def test_predict_tie_goes_to_nearest():
     assert predict(nb) == 0
     nb = NeighborSet(np.arange(2), np.array([1.0, 2.0]), np.array([1, 0]))
     assert predict(nb) == 1
+    nb = NeighborSet(np.arange(4), np.arange(4.0), np.array([0, 1, 0, 1]))
+    assert predict(nb) == 0
 
 
 def test_predict_matches_counting_oracle():
@@ -198,22 +203,13 @@ def test_predict_matches_counting_oracle():
         assert predict(nb) == oracle_vote(list(zip(range(k), dists, labels)))
 
 
-def test_class_probabilities_examples():
-    nb = NeighborSet(np.arange(10), np.arange(10.0), np.array([0] * 7 + [1] * 3))
-    assert class_probabilities(nb) == {0: 0.7, 1: 0.3}
-    nb = NeighborSet(np.arange(3), np.arange(3.0), np.array([1, 1, 1]))
-    assert class_probabilities(nb) == {0: 0.0, 1: 1.0}
-    nb = NeighborSet(np.arange(4), np.arange(4.0), np.array([0, 1, 0, 1]))
-    assert class_probabilities(nb) == {0: 0.5, 1: 0.5}
-
-
 def test_predict_agrees_with_probability_argmax():
     rng = np.random.default_rng(5)
     for _ in range(200):
         k = int(rng.integers(1, 12))
         labels = rng.integers(0, 2, size=k)
         nb = NeighborSet(np.arange(k), np.sort(rng.uniform(size=k)), labels)
-        probs = class_probabilities(nb)
+        probs = {1: labels.sum() / k, 0: 1 - labels.sum() / k}
         if probs[0] != probs[1]:
             assert predict(nb) == max(probs, key=probs.get)
         else:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import cellgrade.nn as nn
 from cellgrade.errors import ConfigError
@@ -133,27 +134,33 @@ def test_batch_norm_gradients_vs_finite_differences():
 
 def test_dropout_rate_zero_is_identity():
     x = RNG.uniform(size=(4, 7))
-    y, mask = nn.dropout_forward(x, 0.0, "train", SeededPrng(1))
-    np.testing.assert_array_equal(y, x)
-    assert mask.all()
+    rng = SeededPrng(1)
+    y, mask = nn.Dropout(0.0).forward(x, {}, True, rng)
+    assert y is x and mask is None
+    assert rng.u64(1)[0] == SeededPrng(1).u64(1)[0]  # no mask was drawn
+    g = RNG.uniform(size=x.shape)
+    assert nn.Dropout(0.0).backward(g, mask)[0] is g
 
 
 def test_dropout_eval_is_identity():
     x = RNG.uniform(size=(4, 7))
-    y, mask = nn.dropout_forward(x, 0.9, "eval", None)
-    np.testing.assert_array_equal(y, x)
-    assert mask.all()
+    y, mask = nn.Dropout(0.9).forward(x, {}, False, None)
+    assert y is x and mask is None
+    g = RNG.uniform(size=x.shape)
+    assert nn.Dropout(0.9).backward(g, mask)[0] is g
 
 
 def test_dropout_mean_preservation_and_reproducibility():
     x = np.ones((100, 100))
-    y, mask = nn.dropout_forward(x, 0.5, "train", SeededPrng(77))
+    layer = nn.Dropout(0.5)
+    y, mask = layer.forward(x, {}, True, SeededPrng(77))
     assert abs(y.mean() - 1.0) < 0.05
     survivors = mask.mean()
     assert 0.45 < survivors < 0.55
-    y2, mask2 = nn.dropout_forward(x, 0.5, "train", SeededPrng(77))
+    y2, mask2 = layer.forward(x, {}, True, SeededPrng(77))
     np.testing.assert_array_equal(y, y2)
     np.testing.assert_array_equal(mask, mask2)
+    np.testing.assert_array_equal(layer.backward(x, mask)[0], y)  # same scaled mask
 
 
 # -- pooling ------------------------------------------------------------------
@@ -213,22 +220,76 @@ def scatter_add_max_pool_backward(dy, cache):
     return dx
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.data())
-def test_max_pool_backward_matches_scatter_add(data):
+def windows(x, pool, stride):
+    """(N, OH, OW, C, ph*pw) window values, each window in row-major order."""
+    win = sliding_window_view(x, pool, axis=(1, 2))[:, :: stride[0], :: stride[1]]
+    return win.reshape(*win.shape[:4], -1)
+
+
+def window_view_max_pool(x, pool, stride):
+    """The sliding-window argmax + take_along_axis formulation max_pool_forward replaced."""
+    flat = windows(x, pool, stride)
+    arg = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], arg
+
+
+def pool_case(data):
+    """Pools and strides 1-3 (overlapping ones included), both float dtypes, and
+    grids of 1-3 levels with random signs, so ties (0.0 against -0.0 too) are common."""
     ph, pw, sh, sw = (data.draw(st.integers(1, 3)) for _ in range(4))
     h, w = ph + data.draw(st.integers(0, 6)), pw + data.draw(st.integers(0, 6))
     n, c = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
     dtype = data.draw(st.sampled_from([np.float32, np.float64]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    levels = data.draw(st.integers(1, 3))  # few distinct values force ties
+    levels = data.draw(st.integers(1, 3))
     x = rng.integers(0, levels, size=(n, h, w, c)).astype(dtype)
+    x *= rng.choice(np.array([-1, 1], dtype=dtype), size=x.shape)
+    return x, (ph, pw), (sh, sw), rng
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_max_pool_backward_matches_scatter_add(data):
+    x, (ph, pw), (sh, sw), rng = pool_case(data)
+    dtype = x.dtype
     y, cache = nn.max_pool_forward(x, (ph, pw), (sh, sw))
+    y_ref, arg_ref = window_view_max_pool(x, (ph, pw), (sh, sw))
+    assert y.dtype == dtype and y.tobytes() == y_ref.tobytes()  # bytes: keeps -0.0 vs 0.0
+    assert cache[1].dtype == arg_ref.dtype and np.array_equal(cache[1], arg_ref)
     dy = rng.normal(size=y.shape).astype(dtype)
     dx = nn.max_pool_backward(dy, cache)
     expected = scatter_add_max_pool_backward(dy, cache)
     assert dx.dtype == dtype
     if sh >= ph and sw >= pw:  # windows do not overlap: one addition per position
+        assert np.array_equal(dx, expected)
+    else:
+        np.testing.assert_allclose(dx, expected, rtol=1e-6, atol=1e-6)
+
+
+def scatter_avg_pool_backward(dy, x_shape, pool, stride):
+    """Adds each window's share to its input positions, one window at a time."""
+    (ph, pw), (sh, sw) = pool, stride
+    share = dy / (ph * pw)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    for i in range(dy.shape[1]):
+        for j in range(dy.shape[2]):
+            dx[:, i * sh : i * sh + ph, j * sw : j * sw + pw, :] += share[:, i, j, None, None, :]
+    return dx
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_avg_pool_matches_window_mean_and_scatter(data):
+    x, pool, stride, rng = pool_case(data)
+    x += 0.0  # integer sums are exact in any order; -0.0 + 0.0 makes every zero +0.0
+    y, cache = nn.avg_pool_forward(x, pool, stride)
+    assert y.dtype == x.dtype
+    assert np.array_equal(y, windows(x, pool, stride).mean(axis=-1))
+    dy = rng.normal(size=y.shape).astype(x.dtype)
+    dx = nn.avg_pool_backward(dy, cache)
+    expected = scatter_avg_pool_backward(dy, x.shape, pool, stride)
+    assert dx.dtype == x.dtype
+    if stride[0] >= pool[0] and stride[1] >= pool[1]:  # one addition per position
         assert np.array_equal(dx, expected)
     else:
         np.testing.assert_allclose(dx, expected, rtol=1e-6, atol=1e-6)

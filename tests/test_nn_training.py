@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,25 @@ def test_eval_forward_is_deterministic():
     a, _ = nn.network_forward(net, params, x, "eval")
     b, _ = nn.network_forward(net, params, x, "eval")
     np.testing.assert_array_equal(a, b)
+
+
+def test_eval_forward_keeps_no_cache_and_little_memory():
+    net = nn.reduced_network()
+    params = nn.init_params(net, 5)
+    x = SeededPrng(6).uniform((64, 32, 32, 3)).astype(np.float32)
+    y = np.arange(64) % 2
+    _, cache = nn.network_forward(net, params, x, "eval")
+    assert cache == nn.ForwardCache()
+    _, train_cache = nn.network_forward(net, params, x, "train", SeededPrng(7))
+    assert len(train_cache.layers) == len(net.layers) and len(train_cache.bn_updates) == 3
+    del train_cache
+    tracemalloc.start()
+    try:
+        nn.evaluate(net, params, x, y, batch_size=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * x.nbytes, peak / x.nbytes
 
 
 def test_forward_rejects_bad_mode_and_shape():
