@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None, help="minkowski exponent (p >= 1)")
     p.add_argument("--k", default="10", help="k values, e.g. '10' or '1,5,10' or '1-150'")
     p.add_argument("--folds", type=int, default=4)
-    p.add_argument("--bins", type=int, default=8, help="histogram bins per channel")
+    p.add_argument("--bins", type=int, default=8, help="histogram bins per channel, 1 to 16")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix (writes PREFIX.csv, PREFIX.json)")
 

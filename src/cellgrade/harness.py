@@ -273,6 +273,9 @@ def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
 # --------------------------------------------------------------------------
 
 _FEATURE_KINDS = {"raw": "raw_pixel", "hist": "hsv_histogram"}
+# Histogram features have bins**3 float64 dims: 16 gives 4096, the order of the
+# 3072-dim raw vector, while 100 would make a 600-image feature matrix 4.8 GB.
+_MAX_BINS = 16
 
 
 def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceMetric("euclidean"),
@@ -280,8 +283,8 @@ def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceM
             out_prefix=None) -> dict:
     """Cross-validated kNN over the chosen features; writes CSV + JSON summary."""
     kind = _FEATURE_KINDS.get(features, features)
-    if bins < 1:
-        raise ConfigError(f"bins must be >= 1, got {bins}")
+    if not 1 <= bins <= _MAX_BINS:
+        raise ConfigError(f"bins must be 1 to {_MAX_BINS}, got {bins}")
     dataset = load_dataset(data_dir)
     x, y, skipped = extract_feature_matrix(dataset, kind, bins)
     reports = k_sweep(x, y, list(k_values), folds, metric, seed)
@@ -349,6 +352,7 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     train_idx, val_idx = train_val_split_indices(y, val_frac, seed)
     x_train, y_train = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
+    del x  # the splits are copies: keep one set of tensors alive, not two
     check_batch_size(net, y_train.size, batch_size)
 
     master = SeededPrng(seed)

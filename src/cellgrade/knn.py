@@ -1,11 +1,9 @@
 """Exact k-nearest-neighbour classification over feature vectors.
 
 Four distance metrics (euclidean, manhattan, hamming, minkowski), exact
-neighbour search (no approximate indexing: at 512-3072 dims a spatial index
-buys nothing), deterministic majority vote, and stratified k-fold
-cross-validation. Labels are binary (0 or 1). Neighbour order is always
-(distance, train_index) lexicographic so results are reproducible across
-runs and platforms.
+neighbour search, majority vote and stratified k-fold cross-validation over
+binary labels. Neighbours are ordered by (distance, train_index), with every
+distance from _row_distances, so the order does not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from .errors import ConfigError, ShapeError
 
 _VARIANTS = ("euclidean", "manhattan", "hamming", "minkowski")
 
-# Cap on each distance block of k_sweep (queries x train rows), in float64 elements.
+# Cap on each euclidean proposal block in _nearest (queries x train rows), in float64 elements.
 _CHUNK_ELEMENTS = 4_000_000
 
 
@@ -126,12 +124,11 @@ def _row_distances(metric: DistanceMetric, x: np.ndarray, q: np.ndarray) -> np.n
 def k_nearest(model: KnnModel, query) -> NeighborSet:
     """Exact k smallest (distance, train_index) pairs for one query vector."""
     q = np.asarray(getattr(query, "values", query), dtype=np.float64).reshape(-1)
-    x = model.features
+    x = np.ascontiguousarray(model.features, dtype=np.float64)
     if q.size != x.shape[1]:
         raise ShapeError(f"query has {q.size} dims, model rows have {x.shape[1]}")
-    dists = _row_distances(model.metric, np.asarray(x, dtype=np.float64), q)
-    order = np.argsort(dists, kind="stable")[: model.k]
-    return NeighborSet(order, dists[order], np.asarray(model.labels)[order])
+    order = _nearest(model.metric, q[None, :], x, model.k)[0]
+    return NeighborSet(order, _row_distances(model.metric, x[order], q), np.asarray(model.labels)[order])
 
 
 def predict(neighbors: NeighborSet) -> int:
@@ -141,30 +138,46 @@ def predict(neighbors: NeighborSet) -> int:
     return int(_vote(neighbors.labels[None, :], len(neighbors))[0])
 
 
-def _pairwise_distances(metric: DistanceMetric, queries: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """All query-to-train distances, (M, N): one _row_distances per query.
+def _nearest(metric: DistanceMetric, queries: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """(M, k) indices; row i is argsort(_row_distances(metric, x, queries[i]), stable)[:k].
 
-    Euclidean alone goes through the GEMM expansion, which is 40-110x faster
-    than the direct pass at 512-3072 dims.
+    x and queries are C-ordered float64. Proposals P select candidates: exact distances
+    with slack s = 0; for euclidean, GEMM's |q|^2 + |x|^2 - 2q.x with s = 8gR^2 + t,
+    g = gamma_{D+2} = (D+2)u/(1-(D+2)u), u = 2^-53, R = |q| + max|x|. Rows with P not
+    greater than the k-th P + s keep their stable P order unless a gap is not greater
+    than 2s; then _row_distances re-ranks them (NaN rows stay in). Proof (Higham,
+    Accuracy and Stability, 3.1), with S the row kernel's sum before sqrt: in any order
+    |P - d^2| <= g(|q|^2 + |x|^2 + 2|q|.|x|) <= gR^2 and |S - d^2| <= gR^2; sqrt merges
+    S_a < S_b only if S_b - S_a < 5uR^2 <= 2gR^2. So P_b - P_a > 6gR^2 orders rows
+    strictly: non-candidates are farther than k rows and gaps over 2s fix the order.
+    8 > 6 absorbs rounding in s and kth + s; t covers products that underflow.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if metric.variant == "euclidean":
-        qq = np.sum(queries * queries, axis=1)[:, None]
-        xx = np.sum(x * x, axis=1)[None, :]
-        d2 = np.maximum(qq + xx - 2.0 * (queries @ x.T), 0.0)
-        return np.sqrt(d2)
-    out = np.empty((queries.shape[0], x.shape[0]))
-    for i, q in enumerate(queries):
-        out[i] = _row_distances(metric, x, q)
-    return out
+    gemm = metric.variant == "euclidean"
+    if gemm:
+        xx = np.einsum("ij,ij->i", x, x)
+        g = 1 / (2.0**53 / (x.shape[1] + 2) - 1)
+    out = []
+    step = max(1, _CHUNK_ELEMENTS // x.shape[0])
+    for q in np.split(queries, range(step, queries.shape[0], step)):
+        if gemm:
+            qq = np.einsum("ij,ij->i", q, q)
+            props = qq[:, None] + xx - 2.0 * (q @ x.T)
+            slacks = 8 * g * (np.sqrt(qq) + np.sqrt(xx.max())) ** 2 + (x.shape[1] + 2) * 2.0**-1070
+        for i, row in enumerate(q):
+            prop = props[i] if gemm else _row_distances(metric, x, row)
+            slack = slacks[i] if gemm else 0.0
+            cand = np.flatnonzero(~(prop > np.partition(prop, k - 1)[k - 1] + slack))
+            order = np.argsort(prop[cand], kind="stable")
+            if gemm and not np.all(np.diff(prop[cand[order]]) > 2 * slack):
+                order = np.argsort(_row_distances(metric, x[cand], row), kind="stable")
+            out.append(cand[order[:k]])
+    return np.array(out, dtype=np.intp).reshape(-1, k)
 
 
 def _vote(sorted_labels: np.ndarray, k: int) -> np.ndarray:
     """Row-wise majority over the first k distance-sorted labels (binary)."""
     ones = np.sum(sorted_labels[:, :k], axis=1)
-    zeros = k - ones
-    return np.where(ones > zeros, 1, np.where(zeros > ones, 0, sorted_labels[:, 0]))
+    return np.where(2 * ones == k, sorted_labels[:, 0], 2 * ones > k)
 
 
 @dataclass(frozen=True)
@@ -184,27 +197,16 @@ class CvReport:
 
 
 def _fold_sorted_labels(features, labels, assignment, folds, metric, max_k):
-    """Per fold: validation-row neighbour labels sorted by (distance, index).
-
-    Validation queries go through in chunks so the distance matrix and its
-    argsort stay bounded regardless of corpus size.
-    """
+    """Per fold: validation-row neighbour labels sorted by (distance, index)."""
     per_fold = []
     for f in range(folds):
         val = np.flatnonzero(assignment == f)
         train = np.flatnonzero(assignment != f)
         if train.size < max_k:
-            raise ConfigError(
-                f"fold {f} leaves only {train.size} training samples, fewer than k={max_k}"
-            )
-        x_train = features[train]
-        step = max(1, _CHUNK_ELEMENTS // max(1, train.size))
-        neighbour_labels = np.empty((val.size, max_k), dtype=labels.dtype)
-        for lo in range(0, val.size, step):
-            dists = _pairwise_distances(metric, features[val[lo : lo + step]], x_train)
-            order = np.argsort(dists, axis=1, kind="stable")[:, :max_k]
-            neighbour_labels[lo : lo + step] = labels[train][order]
-        per_fold.append((neighbour_labels, labels[val]))
+            raise ConfigError(f"fold {f} leaves only {train.size} training samples, "
+                              f"fewer than k={max_k}")
+        order = _nearest(metric, features[val], features[train], max_k)
+        per_fold.append((labels[train][order], labels[val]))
     return per_fold
 
 
@@ -235,9 +237,7 @@ def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
     per_fold = _fold_sorted_labels(features, labels, assignment, folds, metric, max(k_values))
     reports = []
     for k in k_values:
-        accs = tuple(
-            float(np.mean(_vote(sorted_labels, k) == truth))
-            for sorted_labels, truth in per_fold
-        )
+        accs = tuple(float(np.mean(_vote(sorted_labels, k) == truth))
+                     for sorted_labels, truth in per_fold)
         reports.append(CvReport(k, metric, folds, seed, accs, fold_hash))
     return reports

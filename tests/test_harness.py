@@ -209,6 +209,31 @@ def test_cmd_cnn_eval_confusion_partitions(small_synth, tmp_path):
     assert report["per_class_counts"] == {"uninfected": 60, "parasitized": 60}
 
 
+def test_cmd_cnn_train_keeps_one_copy_of_the_tensors(small_synth, monkeypatch):
+    """Once training starts, the decoded tensors live on only as the two splits."""
+    live = []
+
+    class Started(Exception):
+        pass
+
+    def first_epoch(net, params, *args, **kwargs):
+        held = sum(t.nbytes for part in (params.layers, params.adam_m, params.adam_v)
+                   for layer in part for t in layer.values())
+        live.append(tracemalloc.get_traced_memory()[0] - held)
+        raise Started
+
+    monkeypatch.setattr(harness, "train_epoch", first_epoch)
+    for _ in range(2):  # the first run also pays for lazy imports (np.unique loads numpy.ma)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Started):
+                harness.cmd_cnn_train(small_synth, reduced=True, epochs=1, seed=5)
+        finally:
+            tracemalloc.stop()
+    tensor_bytes = 120 * 32 * 32 * 3 * 4  # 120 images decoded at the reduced net's 32 px
+    assert live[-1] < 1.5 * tensor_bytes, live[-1] / tensor_bytes
+
+
 def test_cmd_cnn_train_rerun_byte_identical(small_synth, tmp_path):
     for name in ("a", "b"):
         harness.cmd_cnn_train(small_synth, reduced=True, epochs=1, seed=11,
@@ -239,6 +264,8 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                  ["cnn-train", "--dropout", "0.1,abc"],
                  ["cnn-train", "--reduced", "--dropout="],  # empty list, not the preset
                  ["knn", "--bins", "0"],
+                 ["knn", "--bins", "17"],  # 17**3 dims per image, past the 16**3 cap
+                 ["knn", "--bins", "1000"],  # would ask for 8 GB per image
                  ["cnn-train", "--reduced", "--batch", "0"],
                  ["cnn-train", "--batch", "1"],  # batch norm cannot train on one sample
                  ["cnn-train", "--reduced", "--batch", "9"],  # 10 training images: a trailing 1

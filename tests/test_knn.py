@@ -299,43 +299,67 @@ def test_k_sweep_consistent_with_per_query_path():
 
 # -- one distance kernel --------------------------------------------------------
 
-@given(st.data(), st.sampled_from(["manhattan", "hamming", "minkowski"]))
-@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["euclidean", "manhattan", "hamming", "minkowski"]))
+@settings(max_examples=200, deadline=None)
 def test_batched_paths_match_the_row_kernel_bytewise(data, variant):
-    """_pairwise_distances rows are _row_distances bytes, and k_sweep's folds
-    order neighbours exactly as k_nearest does, ties included."""
+    """_nearest rows are stable argsorts of _row_distances, and k_sweep's folds
+    order neighbours exactly as k_nearest does: ties, near-ties, NaN and inf included."""
     n = data.draw(st.integers(6, 24))
     d = data.draw(st.integers(1, 6))
     folds = data.draw(st.integers(2, 3))
     # four grid levels per coordinate force exact distance ties
     grid = st.lists(st.integers(0, 3), min_size=n * d, max_size=n * d)
     x = np.array(data.draw(grid), dtype=np.float64).reshape(n, d) / 4.0
+    # a third of the rows copied onto others: duplicates tie at every scale
+    copies = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                min_size=n // 3, max_size=n // 3))
+    for src, dst in copies:
+        x[dst] = x[src]
+    # an inexact scale makes the euclidean GEMM round differently from the row kernel
+    x *= data.draw(st.floats(1.0, 1e3))
+    for value in data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3)):
+        x[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, d - 1))] = value
     p = data.draw(st.sampled_from([1.0, 2.5, 3.0]))
     metric = minkowski(p) if variant == "minkowski" else DistanceMetric(variant)
-    pairwise = knn._pairwise_distances(metric, x[: n // 2], x)
-    for i, q in enumerate(x[: n // 2]):
-        assert pairwise[i].tobytes() == knn._row_distances(metric, x, q).tobytes()
+    k = data.draw(st.integers(1, n))
+    with np.errstate(invalid="ignore", over="ignore"):
+        nearest = knn._nearest(metric, x, x, k)
+        for q, row in zip(x, nearest):
+            expected = np.argsort(knn._row_distances(metric, x, q), kind="stable")[:k]
+            assert row.tobytes() == expected.tobytes()
 
-    y = np.arange(n) % 2
-    assignment = stratified_fold_indices(y, folds, 0)
-    k = data.draw(st.integers(1, min(np.sum(assignment != f) for f in range(folds))))
-    # train indices stand in for labels, so the fold scorer hands back its order
-    per_fold = knn._fold_sorted_labels(x, np.arange(n), assignment, folds, metric, k)
-    for f, (order, val) in enumerate(per_fold):
-        train = np.flatnonzero(assignment != f)
-        model = KnnModel(x[train], y[train], k=k, metric=metric)
-        for row, v in zip(order, val):
-            assert row.tolist() == train[k_nearest(model, x[v]).indices].tolist()
+        y = np.arange(n) % 2
+        assignment = stratified_fold_indices(y, folds, 0)
+        k = data.draw(st.integers(1, min(np.sum(assignment != f) for f in range(folds))))
+        # train indices stand in for labels, so the fold scorer hands back its order
+        per_fold = knn._fold_sorted_labels(x, np.arange(n), assignment, folds, metric, k)
+        for f, (order, val) in enumerate(per_fold):
+            train = np.flatnonzero(assignment != f)
+            model = KnnModel(x[train], y[train], k=k, metric=metric)
+            for row, v in zip(order, val):
+                assert row.tolist() == train[k_nearest(model, x[v]).indices].tolist()
 
 
-@pytest.mark.parametrize("metric", [MANHATTAN, minkowski(2.5)], ids=lambda m: m.label)
-def test_pairwise_distances_memory_is_a_few_train_matrices(metric):
+def test_nearest_is_exact_where_products_underflow():
+    """Squares of ~1e-160 features are subnormal; the slack's absolute term covers them."""
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        n, d = int(rng.integers(5, 40)), int(rng.integers(1, 12))
+        x = rng.integers(0, 4, size=(n, d)) * (rng.uniform(1, 1e3) * 10.0 ** -rng.uniform(150, 165))
+        k = int(rng.integers(1, n + 1))
+        for q, row in zip(x, knn._nearest(EUCLIDEAN, x, x, k)):
+            expected = np.argsort(knn._row_distances(EUCLIDEAN, x, q), kind="stable")[:k]
+            assert row.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, MANHATTAN, minkowski(2.5)], ids=lambda m: m.label)
+def test_nearest_memory_is_a_few_train_matrices(metric):
     m, n, d = 150, 450, 512
     rng = np.random.default_rng(16)
     queries, x = rng.uniform(size=(m, d)), rng.uniform(size=(n, d))
     tracemalloc.start()
     try:
-        knn._pairwise_distances(metric, queries, x)
+        knn._nearest(metric, queries, x, 25)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
