@@ -262,10 +262,12 @@ def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
         layers.append({k: claim(f"{base}/{k}", s) for k, s in shapes[i].items()})
         adam_m.append({k: claim(f"{base}/{k}.m", shapes[i][k]) for k in lay.trainable})
         adam_v.append({k: claim(f"{base}/{k}.v", shapes[i][k]) for k in lay.trainable})
-    step = int(round(float(claim("step", ()))))
+    step = float(claim("step", ()))
+    if not (step >= 0 and step.is_integer()):  # NaN and infinities fail too
+        raise IntegrityError(f"step must be a non-negative integer, got {step}")
     if remaining:
         raise IntegrityError(f"checkpoint has unexpected tensors: {sorted(remaining)}")
-    return ParamState(layers, adam_m, adam_v, step=step), digest
+    return ParamState(layers, adam_m, adam_v, step=int(step)), digest
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,11 @@ cross-entropy head. Convolution is cross-correlation (no kernel flip) over
 im2col windows; pooling loops over window offsets, one strided slice each.
 Tensors are plain C-order numpy arrays; float32 for training, float64 for
 gradient checking. Every kernel computes in its input's dtype, so a float32
-training step runs in float32 end to end.
+training step runs in float32 end to end. Per-channel broadcasts and
+reductions (batch norm, conv bias) run on an (N*H, W*C) row view, each channel
+vector tiled W times, so numpy's inner loop spans a whole row, not one pixel's
+C values. In eval mode batch norm is the fixed per-channel affine map x*s + t
+of its moving statistics.
 
 A network is a NetworkSpec (ordered layer descriptions); its weights live in
 a separate ParamState. Forward passes are pure: train-mode batch-norm
@@ -168,7 +172,7 @@ class MaxPool(_Pool):
     kind: ClassVar[str] = "max_pool"
 
     def forward(self, h, p, train, rng):
-        return max_pool_forward(h, self.pool, self.stride)
+        return max_pool_forward(h, self.pool, self.stride, train)
 
     def backward(self, g, cache):
         return (max_pool_backward(g, cache),)
@@ -204,7 +208,7 @@ class Relu(_Layer):
     kind: ClassVar[str] = "relu"
 
     def forward(self, h, p, train, rng):
-        return np.maximum(h, 0), h > 0
+        return np.maximum(h, 0), (h > 0 if train else None)
 
     def backward(self, g, positive):
         return (g * positive,)
@@ -428,6 +432,18 @@ def _col2im(dcols: np.ndarray, x_shape, sh: int, sw: int) -> np.ndarray:
     return dx
 
 
+def _rows(x, *channel_vectors):
+    """x viewed as (N*H, W*C) rows, and each channel vector tiled W times to
+    one row's width; a 2-D (N, C) x stays as it is."""
+    w = x.shape[-2] if x.ndim > 2 else 1
+    return x.reshape(-1, w * x.shape[-1]), *(np.tile(v, w) for v in channel_vectors)
+
+
+def _fold(col_sums, c: int):
+    """Per-channel sums of a _rows view's column sums."""
+    return col_sums.reshape(-1, c).sum(axis=0)
+
+
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                    stride: tuple[int, int]):
     """Valid cross-correlation of (N,H,W,C) with kernel (kh,kw,C,F) plus bias."""
@@ -437,9 +453,10 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {kc}")
     oh, ow = _window_shape(x.shape[1:], (kh, kw), stride)
     flat = _im2col(x, kh, kw, *stride).reshape(n * oh * ow, kh * kw * c)
-    y = flat @ kernel.reshape(kh * kw * c, f) + bias
-    cache = (x.shape, flat, kernel, stride, (oh, ow))
-    return y.reshape(n, oh, ow, f), cache
+    y = (flat @ kernel.reshape(kh * kw * c, f)).reshape(n, oh, ow, f)
+    rows, tiled_bias = _rows(y, bias)
+    rows += tiled_bias  # in place: y's rows are a view
+    return y, (x.shape, flat, kernel, stride, (oh, ow))
 
 
 def conv2d_backward(dy: np.ndarray, cache, *, input_grad: bool = True):
@@ -449,7 +466,7 @@ def conv2d_backward(dy: np.ndarray, cache, *, input_grad: bool = True):
     kh, kw, _, f = kernel.shape
     dy_flat = dy.reshape(n * oh * ow, f)
     dkernel = (flat.T @ dy_flat).reshape(kernel.shape)
-    dbias = dy_flat.sum(axis=0)
+    dbias = _fold(_rows(dy)[0].sum(axis=0), f)
     if not input_grad:
         return None, dkernel, dbias
     dcols = (dy_flat @ kernel.reshape(kh * kw * c, f).T).reshape(n, oh, ow, kh, kw, c)
@@ -461,43 +478,51 @@ def batch_norm_forward_train(x, gamma, beta, moving_mean, moving_var, epsilon, m
 
     Moving statistics are returned, not written: moving <- momentum * moving
     + (1 - momentum) * batch, with the biased batch variance. Statistics are
-    reduced over an (M, C) view of x, in x's dtype.
+    column sums over the _rows view of x, folded per channel, in x's dtype.
     """
     if x.shape[0] < 2:
         raise ConfigError(f"batch_norm train mode needs batch size >= 2, got {x.shape[0]}")
-    x2 = x.reshape(-1, x.shape[-1])
-    m = x.dtype.type(x2.shape[0])
-    mu = x2.sum(axis=0) / m
-    xhat = x2 - mu  # centred here, scaled in place below
-    var = np.einsum("ij,ij->j", xhat, xhat) / m
+    c = x.shape[-1]
+    m = x.dtype.type(x.size // c)
+    rows, = _rows(x)
+    mu = _fold(rows.sum(axis=0), c) / m
+    xhat = rows - _rows(x, mu)[1]  # centred here, scaled in place below
+    var = _fold(np.einsum("ij,ij->j", xhat, xhat), c) / m
     inv = 1.0 / np.sqrt(var + np.asarray(epsilon, dtype=x.dtype))
-    xhat *= inv
-    y = xhat * gamma
-    y += beta
+    _, inv_t, gamma_t, beta_t = _rows(x, inv, gamma, beta)
+    xhat *= inv_t
+    y = xhat * gamma_t
+    y += beta_t
     mom = np.asarray(momentum, dtype=x.dtype)
     new_mean = mom * moving_mean + (1 - mom) * mu.astype(moving_mean.dtype)
     new_var = mom * moving_var + (1 - mom) * var.astype(moving_var.dtype)
-    cache = (xhat, inv, gamma)
-    return y.reshape(x.shape), cache, (new_mean, new_var)
+    return y.reshape(x.shape), (xhat, inv_t * gamma_t), (new_mean, new_var)
 
 
 def batch_norm_forward_eval(x, gamma, beta, moving_mean, moving_var, epsilon):
-    inv = 1.0 / np.sqrt(moving_var + np.asarray(epsilon, dtype=x.dtype))
-    return gamma * (x - moving_mean) * inv + beta
+    """The per-channel affine map x*s + t, s = gamma / sqrt(moving_var + eps)
+    and t = beta - moving_mean*s: moving statistics fix it (arXiv 1502.03167, 3.1)."""
+    s = gamma / np.sqrt(moving_var + np.asarray(epsilon, dtype=x.dtype))
+    rows, s_t, t_t = _rows(x, s, beta - moving_mean * s)
+    y = rows * s_t
+    y += t_t
+    return y.reshape(x.shape)
 
 
 def batch_norm_backward(dy, cache):
-    """Batch-norm gradient through the batch statistics, on the (M, C) view:
+    """Batch-norm gradient through the batch statistics, on the _rows view:
     dx = (m * dy - dbeta - xhat * dgamma) * gamma * inv / m."""
-    xhat, inv, gamma = cache
-    dy2 = dy.reshape(xhat.shape)
-    m = dy.dtype.type(xhat.shape[0])
-    dbeta = dy2.sum(axis=0)
-    dgamma = np.einsum("ij,ij->j", dy2, xhat)
-    dx = dy2 * m
-    dx -= dbeta
-    dx -= xhat * dgamma
-    dx *= gamma * inv / m
+    xhat, scale = cache  # scale: gamma * inv, tiled to xhat's row width
+    c = dy.shape[-1]
+    rows = dy.reshape(xhat.shape)
+    m = dy.dtype.type(dy.size // c)
+    dbeta = _fold(rows.sum(axis=0), c)
+    dgamma = _fold(np.einsum("ij,ij->j", rows, xhat), c)
+    _, dbeta_t, dgamma_t = _rows(dy, dbeta, dgamma)
+    dx = rows * m
+    dx -= dbeta_t
+    dx -= xhat * dgamma_t
+    dx *= scale / m
     return dx.reshape(dy.shape), dgamma, dbeta
 
 
@@ -514,17 +539,19 @@ def dropout_backward(dy, mask, rate: float):
     return dy * (mask.astype(dy.dtype) / np.asarray(1.0 - rate, dtype=dy.dtype))
 
 
-def max_pool_forward(x, pool: tuple[int, int], stride: tuple[int, int]):
-    """Per-window maximum and its offset k = i*pw + j, one window offset at a
-    time; ties keep the first position in row-major order."""
+def max_pool_forward(x, pool: tuple[int, int], stride: tuple[int, int], train: bool = True):
+    """Per-window maximum, one window offset at a time. In train mode the cache
+    holds each maximum's offset k = i*pw + j, ties keeping the first position
+    in row-major order; eval mode keeps no cache."""
     offsets = _offsets(pool, stride, _window_shape(x.shape[1:], pool, stride))
     y = x[next(offsets)].copy()
-    arg = np.zeros(y.shape, dtype=np.intp)
+    arg = np.zeros(y.shape, dtype=np.intp) if train else None
     for k, win in enumerate(offsets, start=1):
         view = x[win]
-        arg = np.where(view > y, k, arg)
+        if train:
+            arg = np.where(view > y, k, arg)
         np.maximum(view, y, out=y)  # on 0.0 vs -0.0, numpy returns the second operand: y
-    return y, (x.shape, arg, pool, stride)
+    return y, ((x.shape, arg, pool, stride) if train else None)
 
 
 def max_pool_backward(dy, cache):

@@ -320,6 +320,17 @@ def test_cli_exit_code_integrity_error(tmp_path, capsys):
                  "--reduced", "--out", str(tmp_path / "e.json")])
     assert code == 4
     assert "integrity error" in capsys.readouterr().err
+    # a correctly sealed checkpoint whose step is not a count: the step is the
+    # last tensor, its float32 value the 4 bytes before the checksum
+    save_checkpoint(nn.init_params(nn.reduced_network(), 0), nn.reduced_network(), bad)
+    good = bad.read_bytes()
+    for step in (float("nan"), float("inf"), -1.0, 2.5):
+        bad.write_bytes(refix_checksum(good[:-12] + struct.pack("<f", step) + good[-8:]))
+        code = main(["cnn-eval", "--checkpoint", str(bad), "--data", str(out),
+                     "--reduced", "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 4 and "integrity error" in err and "step" in err, (step, err)
+        assert len(err.strip().splitlines()) == 1, err
 
 
 def test_cli_minkowski_p_validation(tmp_path, capsys):

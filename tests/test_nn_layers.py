@@ -295,6 +295,92 @@ def test_avg_pool_matches_window_mean_and_scatter(data):
         np.testing.assert_allclose(dx, expected, rtol=1e-6, atol=1e-6)
 
 
+# -- per-channel work at row width ---------------------------------------------
+
+def bn_reference(x, dy, gamma, beta, moving_mean, moving_var, eps):
+    """Batch norm's per-channel formulas over an (M, C) view, in float64:
+    (y, dx, dgamma, dbeta, batch mean, batch variance, eval y)."""
+    c = x.shape[-1]
+    x2, dy2 = (a.astype(np.float64).reshape(-1, c) for a in (x, dy))
+    gamma, beta, moving_mean, moving_var = (
+        a.astype(np.float64) for a in (gamma, beta, moving_mean, moving_var))
+    m = x2.shape[0]
+    mu = x2.sum(axis=0) / m
+    var = ((x2 - mu) ** 2).sum(axis=0) / m
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x2 - mu) * inv
+    dbeta, dgamma = dy2.sum(axis=0), (dy2 * xhat).sum(axis=0)
+    dx = (m * dy2 - dbeta - xhat * dgamma) * gamma * inv / m
+    y_eval = gamma * (x2 - moving_mean) / np.sqrt(moving_var + eps) + beta
+    return [a.reshape(x.shape) if a.ndim == 2 else a
+            for a in (xhat * gamma + beta, dx, dgamma, dbeta, mu, var, y_eval)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_batch_norm_row_kernels_match_float64_reference(data):
+    """NHWC inputs (W = 1 and C = 1 included) and 2-D (N, C) inputs, in both
+    float dtypes. Sums run in another order than the (M, C) reference, so the
+    bound is set by the dtype: 5e-4 (float32) or 1e-10 (float64) of each
+    output's magnitude, floored at 1."""
+    n, c = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 5))
+    shape = ((n, c) if data.draw(st.booleans())
+             else (n, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), c))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(rng.uniform(-3, 3), rng.uniform(0.1, 4), size=shape).astype(dtype)
+    dy = rng.normal(size=shape).astype(dtype)
+    gamma, beta, moving_mean = (rng.normal(size=c).astype(dtype) for _ in range(3))
+    moving_var = rng.uniform(0.1, 4, size=c).astype(dtype)
+    y, cache, (new_mean, new_var) = nn.batch_norm_forward_train(
+        x, gamma, beta, moving_mean, moving_var, 1e-3, 0.9)
+    dx, dgamma, dbeta = nn.batch_norm_backward(dy, cache)
+    y_eval = nn.batch_norm_forward_eval(x, gamma, beta, moving_mean, moving_var, 1e-3)
+    ref = bn_reference(x, dy, gamma, beta, moving_mean, moving_var, 1e-3)
+    mu, var = ref[4:6]
+    moving = [0.9 * moving_mean.astype(np.float64) + 0.1 * mu,
+              0.9 * moving_var.astype(np.float64) + 0.1 * var]
+    rtol = 5e-4 if dtype == np.float32 else 1e-10
+    for got, want in zip((y, dx, dgamma, dbeta, new_mean, new_var, y_eval),
+                         ref[:4] + moving + ref[6:]):
+        assert got.dtype == dtype and got.shape == want.shape
+        assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_conv_bias_add_is_byte_equal_to_flat_matmul_plus_bias(data):
+    kh, kw = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    sh, sw = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    h, w = kh + data.draw(st.integers(0, 4)), kw + data.draw(st.integers(0, 4))
+    n, c, f = (data.draw(st.integers(1, 3)) for _ in range(3))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, h, w, c)).astype(dtype)
+    kernel, bias = rng.normal(size=(kh, kw, c, f)).astype(dtype), rng.normal(size=f).astype(dtype)
+    y, (_, flat, *_) = nn.conv2d_forward(x, kernel, bias, (sh, sw))
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+    assert np.array_equal(flat, win.transpose(0, 1, 2, 4, 5, 3).reshape(flat.shape))
+    expected = flat @ kernel.reshape(-1, f) + bias
+    assert y.dtype == dtype and y.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_eval_max_pool_and_relu_keep_no_cache(data):
+    x, pool, stride, _ = pool_case(data)
+    y_train, cache = nn.max_pool_forward(x, pool, stride, train=True)
+    y_eval, none = nn.max_pool_forward(x, pool, stride, train=False)
+    assert cache is not None and none is None
+    assert y_eval.dtype == x.dtype and y_eval.tobytes() == y_train.tobytes()  # keeps -0.0 vs 0.0
+    layer = nn.MaxPool(pool, stride)
+    assert layer.forward(x, {}, False, None)[1] is None
+    assert layer.forward(x, {}, True, None)[1][1].tobytes() == cache[1].tobytes()
+    relu_eval, relu_train = (nn.Relu().forward(x, {}, train, None) for train in (False, True))
+    assert relu_eval[1] is None and np.array_equal(relu_train[1], x > 0)
+    assert relu_eval[0].tobytes() == relu_train[0].tobytes()
+
+
 def test_pool_gradients_vs_finite_differences():
     net = micro_net(nn.Conv2D(2, (3, 3)), nn.Relu(), nn.MaxPool((2, 2), (2, 2)),
                     nn.AvgPool((2, 2), (1, 1)), nn.Flatten(), nn.Dense(2),

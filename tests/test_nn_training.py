@@ -172,7 +172,7 @@ def test_eval_forward_keeps_no_cache_and_little_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30 * x.nbytes, peak / x.nbytes
+    assert peak < 21 * x.nbytes, peak / x.nbytes
 
 
 def test_forward_rejects_bad_mode_and_shape():
