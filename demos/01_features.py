@@ -20,19 +20,19 @@ with tempfile.TemporaryDirectory(prefix="cellgrade_demo_") as tmp:
         print(f"\n{name}: {img.width}x{img.height}, values in [{img.values.min():.3f}, {img.values.max():.3f}]")
 
         raw = imaging.extract_raw_features(img)
-        print(f"  raw_pixel features: {raw.dims} dims "
-              f"(32x32x3 after bilinear resize), mean {raw.values.mean():.4f}")
+        print(f"  raw_pixel features: {raw.size} dims "
+              f"(32x32x3 after bilinear resize), mean {raw.mean():.4f}")
 
         hist = imaging.extract_histogram_features(img, bins_per_channel=8)
-        top = np.argsort(hist.values)[::-1][:5]
-        print(f"  hsv_histogram features: {hist.dims} dims, sums to {hist.values.sum():.6f}")
+        top = np.argsort(hist)[::-1][:5]
+        print(f"  hsv_histogram features: {hist.size} dims, sums to {hist.sum():.6f}")
         for idx in top:
             h, rem = divmod(idx, 64)
             s, v = divmod(rem, 8)
-            print(f"    bin (h={h}, s={s}, v={v}) holds {hist.values[idx]:.3f} of the mass")
+            print(f"    bin (h={h}, s={s}, v={v}) holds {hist[idx]:.3f} of the mass")
 
         hsv = imaging.rgb_to_hsv(img)
-        purple = (hsv.values[..., 0] > 0.625) & (hsv.values[..., 0] < 0.875) & (hsv.values[..., 1] > 0.375)
+        purple = (hsv[..., 0] > 0.625) & (hsv[..., 0] < 0.875) & (hsv[..., 1] > 0.375)
         print(f"  fraction of pixels in the purple band: {purple.mean():.4f}")
 
     print("\nThe parasitized image carries extra mass in purple hue bins; that mass")

@@ -14,7 +14,8 @@ with tempfile.TemporaryDirectory(prefix="cellgrade_demo_") as tmp:
     print("generating 400 synthetic cell images ...")
     data.synth_generate(root, 400, 0.5, side=64, seed=3)
     dataset = data.load_dataset(root)
-    print(f"loaded {len(dataset)} items, class counts (uninfected, parasitized) = {dataset.class_counts}")
+    n_par = sum(it.label for it in dataset.items)
+    print(f"loaded {len(dataset)} items, class counts (uninfected, parasitized) = {(len(dataset) - n_par, n_par)}")
 
     x_hist, y, _ = harness.extract_feature_matrix(dataset, "hsv_histogram", bins=8)
     x_raw, _, _ = harness.extract_feature_matrix(dataset, "raw_pixel")

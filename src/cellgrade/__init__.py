@@ -6,8 +6,9 @@
   and stratified cross-validation
 - nn: from-scratch CNN engine (conv / batch norm / dropout / pooling / dense)
   with hand-derived backprop, Adam, and finite-difference gradient checking
-- data: dataset ingestion, deterministic splits, splitmix64 PRNG, and a
-  synthetic cell-image generator
+- data: dataset ingestion, deterministic splits, and a synthetic cell-image
+  generator
+- prng: the splitmix64 generator behind every seeded draw
 - harness: experiment commands, metrics CSV/JSON emission, binary checkpoints
 
 Everything is seeded and deterministic: same inputs, same seed, same bytes.
@@ -15,12 +16,7 @@ Everything is seeded and deterministic: same inputs, same seed, same bytes.
 
 __version__ = "0.1.0"
 
-from .data import (
-    LabeledDataset,
-    batch_iter,
-    load_dataset,
-    synth_generate,
-)
+from .data import LabeledDataset, load_dataset, synth_generate
 from .errors import (
     CellgradeError,
     ConfigError,
@@ -31,8 +27,6 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .imaging import (
-    FeatureVector,
-    HsvImage,
     PixelImage,
     decode_image,
     extract_histogram_features,

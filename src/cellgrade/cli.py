@@ -47,9 +47,15 @@ def _parse_rates(text: str) -> list[float]:
         raise ConfigError(f"dropout list {text!r} is not comma-separated numbers") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments end like any other configuration error: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cellgrade",
-                                     description="Cell-image classification experiments")
+    parser = _Parser(prog="cellgrade", description="Cell-image classification experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("knn", help="cross-validated kNN over image features")
@@ -132,9 +138,8 @@ def _run(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _run(args)
+        _run(build_parser().parse_args(argv))
     except (ConfigError, ShapeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

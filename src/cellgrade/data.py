@@ -23,7 +23,7 @@ import numpy as np
 
 from . import png
 from .errors import ConfigError, DataError
-from .imaging import HsvImage, hsv_to_rgb
+from .imaging import hsv_to_rgb
 from .prng import SeededPrng
 
 GENERATOR_VERSION = 1
@@ -44,15 +44,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.items)
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([it.label for it in self.items], dtype=np.int64)
-
-    @property
-    def class_counts(self) -> tuple[int, int]:
-        labels = self.labels
-        return int(np.sum(labels == 0)), int(np.sum(labels == 1))
 
 
 _CLASS_DIRS = (("Parasitized", 1), ("Uninfected", 0))
@@ -125,21 +116,6 @@ def train_val_split_indices(labels, val_fraction: float, seed: int):
     return train_idx, val_idx
 
 
-def batch_iter(n_items: int, batch_size: int, shuffle: bool, rng: SeededPrng | int | None = None):
-    """Index batches covering every index exactly once; last batch may be short."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if shuffle:
-        if rng is None:
-            raise ConfigError("shuffle=True needs a seed or SeededPrng")
-        if not isinstance(rng, SeededPrng):
-            rng = SeededPrng(int(rng))
-        order = rng.permutation(n_items)
-    else:
-        order = np.arange(n_items)
-    return [order[lo : lo + batch_size] for lo in range(0, n_items, batch_size)]
-
-
 # --------------------------------------------------------------------------
 # Synthetic generator
 # --------------------------------------------------------------------------
@@ -188,7 +164,7 @@ def _hsv_color(rng: SeededPrng, p: dict, prefix: str) -> np.ndarray:
         return lo + rng.uniform() * (hi - lo)
 
     hsv = np.array([[[span("hue") % 1.0, span("sat"), span("val")]]])
-    return hsv_to_rgb(HsvImage(hsv)).values[0, 0]
+    return hsv_to_rgb(hsv).values[0, 0]
 
 
 def _draw_cell(rng: SeededPrng, side: int, parasitized: bool) -> np.ndarray:

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,20 +69,10 @@ KNN_CSV_HEADER = "feature,metric,k,fold,accuracy"
 CNN_CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Command name plus every parameter that influences the result."""
-
-    command: str
-    options: dict
-
-    def to_json(self) -> str:
-        return json.dumps({"command": self.command, **self.options},
-                          sort_keys=True, separators=(",", ":"))
-
-
-def _config_block(config: ExperimentConfig, extra: dict | None = None) -> list[str]:
-    lines = [f"# cellgrade-version: {__version__}", f"# config: {config.to_json()}"]
+def _config_block(config: dict, extra: dict | None = None) -> list[str]:
+    """Comment lines for a config: the command plus every parameter that influences the result."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    lines = [f"# cellgrade-version: {__version__}", f"# config: {canonical}"]
     for key, value in (extra or {}).items():
         lines.append(f"# {key}: {value}")
     return lines
@@ -137,9 +127,9 @@ def _decode_each(dataset: LabeledDataset, convert):
 def extract_feature_matrix(dataset: LabeledDataset, kind: str, bins: int = 8):
     """(features, labels, skipped) for every decodable image in the dataset."""
     if kind == "raw_pixel":
-        return _decode_each(dataset, lambda img: extract_raw_features(img).values)
+        return _decode_each(dataset, extract_raw_features)
     if kind == "hsv_histogram":
-        return _decode_each(dataset, lambda img: extract_histogram_features(img, bins).values)
+        return _decode_each(dataset, lambda img: extract_histogram_features(img, bins))
     raise ConfigError(f"unknown feature kind {kind!r}")
 
 
@@ -226,10 +216,15 @@ def read_checkpoint_tensors(path) -> tuple[dict[str, np.ndarray], int]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", r.take(4, "name length"))
-        name = str(r.take(name_len, "tensor name"), "utf-8")
+        try:
+            name = str(r.take(name_len, "tensor name"), "utf-8")
+        except UnicodeDecodeError:
+            raise IntegrityError(f"tensor name at offset {r.pos - name_len} is not UTF-8") from None
+        if name in tensors:
+            raise IntegrityError(f"tensor {name!r} appears twice")
         (rank,) = struct.unpack("<I", r.take(4, "rank"))
         dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, "dims"))
-        size = int(np.prod(dims)) if rank else 1
+        size = math.prod(dims)  # exact, where np.prod wraps at 2**64; 1 for rank 0
         values = np.frombuffer(r.take(4 * size, f"values of {name!r}"), dtype="<f4")
         tensors[name] = values.reshape(dims).astype(np.float32)  # a writable copy: Adam updates it
     if r.pos != len(r.data):
@@ -290,10 +285,10 @@ def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceM
     dataset = load_dataset(data_dir)
     x, y, skipped = extract_feature_matrix(dataset, kind, bins)
     reports = k_sweep(x, y, list(k_values), folds, metric, seed)
-    config = ExperimentConfig("knn", {
-        "data": str(data_dir), "features": kind, "bins": bins, "metric": metric.label,
-        "k": list(int(k) for k in k_values), "folds": folds, "seed": seed,
-    })
+    config = {
+        "command": "knn", "data": str(data_dir), "features": kind, "bins": bins,
+        "metric": metric.label, "k": list(int(k) for k in k_values), "folds": folds, "seed": seed,
+    }
     rows = [
         (kind, metric.label, rep.k, fold, repr(float(acc)))
         for rep in reports
@@ -303,7 +298,7 @@ def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceM
     best_k = max(means, key=lambda k: (means[k], -k))
     summary = {
         "version": __version__,
-        "config": json.loads(config.to_json()),
+        "config": config,
         "fold_hash": reports[0].fold_hash,
         "n_samples": int(y.size),
         "skipped": skipped,
@@ -361,12 +356,12 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     params = init_params(net, master.split(), dtype=np.float32)
     train_rng = master.split()
 
-    config = ExperimentConfig("cnn-train", {
-        "data": str(data_dir), "reduced": reduced, "epochs": epochs, "batch": batch_size,
-        "lr": lr, "seed": seed, "val_frac": val_frac,
+    config = {
+        "command": "cnn-train", "data": str(data_dir), "reduced": reduced, "epochs": epochs,
+        "batch": batch_size, "lr": lr, "seed": seed, "val_frac": val_frac,
         "dropout": [lay.rate for lay in net.layers if lay.kind == "dropout"],
         "input_side": side,
-    })
+    }
     rows, curve = [], []
     if checkpoint_path is None and out_prefix is not None:
         checkpoint_path = f"{out_prefix}.ckpt"
@@ -390,7 +385,7 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
                    {"skipped": len(skipped)})
     return {
         "version": __version__,
-        "config": json.loads(config.to_json()),
+        "config": config,
         "curve": curve,
         "skipped": skipped,
         "checkpoint": str(checkpoint_path) if checkpoint_path is not None else None,
@@ -408,12 +403,11 @@ def cmd_cnn_eval(checkpoint_path, data_dir, out_path=None, reduced: bool = False
     x, y, skipped = load_tensor_batch(dataset, net.input_shape[0])
     loss, acc, preds = evaluate(net, params, x, y)
     confusion = [[int(np.sum((y == t) & (preds == p))) for p in (0, 1)] for t in (0, 1)]
-    config = ExperimentConfig("cnn-eval", {
-        "checkpoint": str(checkpoint_path), "data": str(data_dir), "reduced": reduced,
-    })
+    config = {"command": "cnn-eval", "checkpoint": str(checkpoint_path),
+              "data": str(data_dir), "reduced": reduced}
     report = {
         "version": __version__,
-        "config": json.loads(config.to_json()),
+        "config": config,
         "spec_digest": f"{digest:#x}",
         "accuracy": acc,
         "loss": loss,

@@ -1,9 +1,11 @@
 """Cell-image decoding and the two feature representations.
 
-Images are decoded to RGB floats in [0, 1]. The kNN pipeline consumes either
-a flattened 32x32 raw-pixel vector (3072 dims) or an L1-normalized 3D HSV
-color histogram (bins^3 dims, default 8^3 = 512). The CNN pipeline consumes
-a bilinearly resized (side, side, 3) float tensor.
+Images are decoded to a PixelImage of RGB floats in [0, 1]; resizing and
+hsv_to_rgb return PixelImages too. Everything else returns a plain float64
+array: rgb_to_hsv an (h, w, 3) array of (h, s, v), and the kNN features a
+1-D vector, either the flattened 32x32 raw pixels (3072 dims) or an
+L1-normalized 3D HSV color histogram (bins^3 dims, default 8^3 = 512). The
+CNN pipeline consumes a bilinearly resized (side, side, 3) array.
 
 All functions are pure; nothing here holds mutable state.
 """
@@ -17,7 +19,6 @@ import numpy as np
 from . import png
 
 RAW_SIDE = 32
-RAW_DIMS = RAW_SIDE * RAW_SIDE * 3
 DEFAULT_BINS = 8
 
 
@@ -41,41 +42,6 @@ class PixelImage:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class HsvImage:
-    """Per-pixel (h, s, v) with h in [0, 1) as the hue-circle fraction."""
-
-    values: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Flat sample vector tagged with its extraction method."""
-
-    kind: str  # "raw_pixel" or "hsv_histogram"
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("raw_pixel", "hsv_histogram"):
-            raise ValueError(f"unknown feature kind {self.kind!r}")
-        if self.values.ndim != 1 or self.values.size < 1:
-            raise ValueError("FeatureVector values must be a non-empty 1-D array")
-        if self.kind == "raw_pixel" and self.values.size != RAW_DIMS:
-            raise ValueError(f"raw_pixel features must have {RAW_DIMS} dims, got {self.values.size}")
-
-    @property
-    def dims(self) -> int:
-        return self.values.size
 
 
 def decode_image(data: bytes) -> PixelImage:
@@ -106,7 +72,7 @@ def resize_bilinear(img: PixelImage, out_w: int, out_h: int) -> PixelImage:
     return PixelImage(np.clip(out, 0.0, 1.0))
 
 
-def rgb_to_hsv(img: PixelImage) -> HsvImage:
+def rgb_to_hsv(img: PixelImage) -> np.ndarray:
     """Hexcone RGB -> HSV; h is a [0, 1) fraction, h = 0 wherever s = 0."""
     r, g, b = img.values[..., 0], img.values[..., 1], img.values[..., 2]
     v = np.maximum(np.maximum(r, g), b)
@@ -120,12 +86,12 @@ def rgb_to_hsv(img: PixelImage) -> HsvImage:
         default=(r - g) / cs + 4.0,
     ) / 6.0
     h = np.where(h >= 1.0, 0.0, h)  # guard the mod-6 rounding edge
-    return HsvImage(np.stack([h, s, v], axis=-1))
+    return np.stack([h, s, v], axis=-1)
 
 
-def hsv_to_rgb(hsv: HsvImage) -> PixelImage:
+def hsv_to_rgb(hsv: np.ndarray) -> PixelImage:
     """Standard inverse of rgb_to_hsv."""
-    h, s, v = hsv.values[..., 0], hsv.values[..., 1], hsv.values[..., 2]
+    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
     h6 = h * 6.0
     sector = np.floor(h6).astype(np.intp) % 6
     f = h6 - np.floor(h6)
@@ -138,24 +104,24 @@ def hsv_to_rgb(hsv: HsvImage) -> PixelImage:
     return PixelImage(np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0))
 
 
-def extract_raw_features(img: PixelImage) -> FeatureVector:
+def extract_raw_features(img: PixelImage) -> np.ndarray:
     """Resize to 32x32 and flatten row-major (row, column, channel): 3072 dims."""
     resized = resize_bilinear(img, RAW_SIDE, RAW_SIDE)
-    return FeatureVector("raw_pixel", resized.values.reshape(-1).copy())
+    return resized.values.reshape(-1).copy()
 
 
-def extract_histogram_features(img: PixelImage, bins_per_channel: int = DEFAULT_BINS) -> FeatureVector:
+def extract_histogram_features(img: PixelImage, bins_per_channel: int = DEFAULT_BINS) -> np.ndarray:
     """Joint (h, s, v) histogram, flattened in (h, s, v) index order, L1-normalized."""
     bins = bins_per_channel
     if bins < 1:
         raise ValueError(f"bins_per_channel must be >= 1, got {bins}")
     if img.values.size == 0:
         raise ValueError("cannot build a histogram of an empty image")
-    hsv = rgb_to_hsv(img).values.reshape(-1, 3)
+    hsv = rgb_to_hsv(img).reshape(-1, 3)
     idx = np.minimum((hsv * bins).astype(np.intp), bins - 1)
     flat = (idx[:, 0] * bins + idx[:, 1]) * bins + idx[:, 2]
     counts = np.bincount(flat, minlength=bins**3).astype(np.float64)
-    return FeatureVector("hsv_histogram", counts / counts.sum())
+    return counts / counts.sum()
 
 
 def image_to_tensor(img: PixelImage, side: int = 64) -> np.ndarray:

@@ -123,7 +123,7 @@ def _row_distances(metric: DistanceMetric, x: np.ndarray, q: np.ndarray) -> np.n
 
 def k_nearest(model: KnnModel, query) -> NeighborSet:
     """Exact k smallest (distance, train_index) pairs for one query vector."""
-    q = np.asarray(getattr(query, "values", query), dtype=np.float64).reshape(-1)
+    q = np.asarray(query, dtype=np.float64).reshape(-1)
     x = np.ascontiguousarray(model.features, dtype=np.float64)
     if q.size != x.shape[1]:
         raise ShapeError(f"query has {q.size} dims, model rows have {x.shape[1]}")

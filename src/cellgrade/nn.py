@@ -30,7 +30,6 @@ from typing import ClassVar
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .data import batch_iter
 from .errors import ConfigError, ShapeError
 from .prng import SeededPrng
 
@@ -747,7 +746,8 @@ def train_epoch(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarr
         raise ConfigError("train_epoch needs a non-empty dataset")
     check_batch_size(net, n, batch_size)
     loss_sum, correct = 0.0, 0
-    for idx in batch_iter(n, batch_size, shuffle=True, rng=rng):
+    order = rng.permutation(n)
+    for idx in (order[lo : lo + batch_size] for lo in range(0, n, batch_size)):
         xb, yb = x[idx], y[idx]
         logits, cache = network_forward(net, params, xb, "train", rng)
         loss, probs, dlogits = softmax_cross_entropy(logits, yb)

@@ -188,8 +188,8 @@ def test_criterion_4_property_battery():
     flat = values.reshape(-1, 3)
     shuffled = imaging.PixelImage(flat[rng.permutation(len(flat))].reshape(values.shape))
     hist_shuffled = imaging.extract_histogram_features(shuffled, 8)
-    check("hist_norm", abs(hist.values.sum() - 1.0) < 1e-6 and np.all(hist.values >= 0))
-    check("hist_perm", np.array_equal(hist.values, hist_shuffled.values))
+    check("hist_norm", abs(hist.sum() - 1.0) < 1e-6 and np.all(hist >= 0))
+    check("hist_perm", np.array_equal(hist, hist_shuffled))
 
     # batch-norm train statistics
     x = rng.normal(loc=2.0, scale=3.0, size=(8, 5, 5, 4))

@@ -42,8 +42,8 @@ def probe(workdir: Path) -> dict:
     images = [imaging.decode_image(item.source.read_bytes())
               for item in data.load_dataset(workdir).items]
     out["png"] = _digest(*(img.values for img in images))
-    out["features"] = _digest(*(imaging.extract_histogram_features(img).values for img in images),
-                              *(imaging.extract_raw_features(img).values for img in images))
+    out["features"] = _digest(*(imaging.extract_histogram_features(img) for img in images),
+                              *(imaging.extract_raw_features(img) for img in images))
     params = nn.init_params(nn.reduced_network(), 3)
     out["init_params"] = _digest(*(layer[k] for layer in params.layers for k in sorted(layer)))
 

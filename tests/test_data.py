@@ -7,7 +7,6 @@ import pytest
 
 from cellgrade import data, harness, imaging, png
 from cellgrade.data import (
-    batch_iter,
     fold_assignment_hash,
     load_dataset,
     stratified_fold_indices,
@@ -15,7 +14,6 @@ from cellgrade.data import (
     train_val_split_indices,
 )
 from cellgrade.errors import ConfigError, DataError
-from cellgrade.prng import SeededPrng
 
 
 def make_tree(root, n_par, n_un):
@@ -35,7 +33,7 @@ def test_load_dataset_counts_and_order(tmp_path):
     make_tree(tmp_path, 3, 2)
     ds = load_dataset(tmp_path)
     assert len(ds) == 5
-    assert ds.class_counts == (2, 3)
+    assert [it.label for it in ds.items] == [1, 1, 1, 0, 0]
     ids = [it.sample_id for it in ds.items]
     assert ids == sorted(ids)
     assert ds.items[0].label == 1  # 'Parasitized/...' sorts before 'Uninfected/...'
@@ -111,7 +109,7 @@ def test_stratified_folds_class_too_small():
 
 def test_fold_assignment_hash(tmp_path):
     make_tree(tmp_path, 4, 4)
-    labels = load_dataset(tmp_path).labels
+    labels = [it.label for it in load_dataset(tmp_path).items]
     assignment = stratified_fold_indices(labels, 2, seed=3)
     digest = fold_assignment_hash(assignment, 2, 3)
     assert len(digest) == 16 and int(digest, 16) >= 0
@@ -139,7 +137,7 @@ def test_split_four_items_fraction_05():
 def test_split_union_restores_everything(tmp_path):
     make_tree(tmp_path, 6, 6)
     ds = load_dataset(tmp_path)
-    train, val = train_val_split_indices(ds.labels, 0.25, seed=9)
+    train, val = train_val_split_indices([it.label for it in ds.items], 0.25, seed=9)
     ids = [ds.items[i].sample_id for i in (*train, *val)]
     assert sorted(ids) == sorted(it.sample_id for it in ds.items)
     assert len(set(ids)) == len(ds)
@@ -148,31 +146,6 @@ def test_split_union_restores_everything(tmp_path):
 def test_split_rejects_bad_fraction():
     with pytest.raises(ConfigError):
         train_val_split_indices(np.array([0, 1]), 1.5, seed=0)
-
-
-# -- batches ------------------------------------------------------------------------
-
-def test_batch_iter_sizes():
-    batches = batch_iter(10, 4, shuffle=False)
-    assert [len(b) for b in batches] == [4, 4, 2]
-
-
-def test_batch_iter_identity_order_without_shuffle():
-    batches = batch_iter(6, 3, shuffle=False)
-    np.testing.assert_array_equal(np.concatenate(batches), np.arange(6))
-
-
-def test_batch_iter_partition_property():
-    batches = batch_iter(23, 5, shuffle=True, rng=SeededPrng(4))
-    joined = np.sort(np.concatenate(batches))
-    np.testing.assert_array_equal(joined, np.arange(23))
-
-
-def test_batch_iter_seed_reproducible():
-    a = batch_iter(17, 4, shuffle=True, rng=7)
-    b = batch_iter(17, 4, shuffle=True, rng=7)
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x, y)
 
 
 # -- synthetic generator ---------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_cnn_train_then_eval_on_train_split_matches(small_synth, tmp_path):
     out = harness.cmd_cnn_train(small_synth, reduced=True, epochs=2, batch_size=16,
                                 seed=3, val_frac=0.25, out_prefix=str(tmp_path / "run"))
     ds = load_dataset(small_synth)
-    train_idx, _ = train_val_split_indices(ds.labels, 0.25, seed=3)
+    train_idx, _ = train_val_split_indices([it.label for it in ds.items], 0.25, seed=3)
     train_dir = tmp_path / "train_only"
     (train_dir / "Parasitized").mkdir(parents=True)
     (train_dir / "Uninfected").mkdir(parents=True)
@@ -278,7 +278,11 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                  # over the decoder's 4096x4096 limit; 100000 would not fit in memory
                  ["synth", "--n", "2", "--side", "4097"],
                  ["synth", "--n", "2", "--side", "5000"],
-                 ["synth", "--n", "2", "--side", "100000"]):
+                 ["synth", "--n", "2", "--side", "100000"],
+                 # malformed arguments, rejected by the parser itself
+                 ["knn", "--folds", "abc"],
+                 ["knn", "--metric", "cosine"],
+                 ["synth", "--n", "abc"]):
         data = [] if args[0] == "synth" else ["--data", str(out)]
         code = main([*args, *data, "--out", str(tmp_path / "x")])
         assert code == 2, args
@@ -286,6 +290,9 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         assert err.startswith("configuration error") and err.count("\n") == 1, err
         assert not (tmp_path / "x.ckpt").exists(), args
         assert not (tmp_path / "x").exists(), args
+    with pytest.raises(SystemExit) as exc:  # asking for help is not an error
+        main(["knn", "--help"])
+    assert exc.value.code == 0
 
 
 def test_cli_exit_code_data_error(tmp_path, capsys):
@@ -330,6 +337,21 @@ def test_cli_exit_code_integrity_error(tmp_path, capsys):
                      "--reduced", "--out", str(tmp_path / "e.json")])
         err = capsys.readouterr().err
         assert code == 4 and "integrity error" in err and "step" in err, (step, err)
+        assert len(err.strip().splitlines()) == 1, err
+    # Sealed but malformed: the last 24 bytes before the checksum are the step
+    # tensor, laid out as name length, b"step", rank 0 and its float32 value.
+    (count,) = struct.unpack("<I", good[16:20])
+    step_entry = good[-24:-8]
+    for body, says in (
+        (good[:-16] + struct.pack("<I2Q", 2, 2**32, 2**32) + good[-12:], "truncated"),  # 2**64 values
+        (good[:-20] + b"st\xffp" + good[-16:], "not UTF-8"),
+        (good[:16] + struct.pack("<I", count + 1) + good[20:-8] + step_entry + good[-8:], "twice"),
+    ):
+        bad.write_bytes(refix_checksum(body))
+        code = main(["cnn-eval", "--checkpoint", str(bad), "--data", str(out),
+                     "--reduced", "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 4 and err.startswith("integrity error") and says in err, err
         assert len(err.strip().splitlines()) == 1, err
 
 

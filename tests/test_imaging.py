@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from cellgrade import imaging, png
 from cellgrade.errors import DecodeError
 from cellgrade.imaging import (
-    FeatureVector,
     PixelImage,
     decode_image,
     extract_histogram_features,
@@ -108,7 +107,7 @@ def test_resize_rejects_bad_size():
 ])
 def test_rgb_to_hsv_known_values(rgb, expected):
     hsv = rgb_to_hsv(solid(rgb, 1, 1))
-    np.testing.assert_allclose(hsv.values[0, 0], expected, atol=1e-12)
+    np.testing.assert_allclose(hsv[0, 0], expected, atol=1e-12)
 
 
 @given(rgb_images)
@@ -116,7 +115,7 @@ def test_rgb_to_hsv_known_values(rgb, expected):
 def test_hsv_ranges_and_roundtrip(values):
     img = PixelImage(values)
     hsv = rgb_to_hsv(img)
-    h, s, v = hsv.values[..., 0], hsv.values[..., 1], hsv.values[..., 2]
+    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
     assert np.all((h >= 0) & (h < 1)) and np.all((s >= 0) & (s <= 1)) and np.all((v >= 0) & (v <= 1))
     assert np.all(h[s == 0] == 0.0)
     back = hsv_to_rgb(hsv)
@@ -128,30 +127,30 @@ def test_hsv_ranges_and_roundtrip(values):
 
 def test_raw_features_zero_image():
     fv = extract_raw_features(solid((0, 0, 0), 32, 32))
-    assert fv.kind == "raw_pixel" and fv.dims == 3072
-    assert np.all(fv.values == 0.0)
+    assert fv.shape == (3072,) and fv.dtype == np.float64
+    assert np.all(fv == 0.0)
 
 
 def test_raw_features_single_pixel_indexing():
     values = np.zeros((32, 32, 3))
     values[0, 0] = [1.0, 0.0, 0.0]
     fv = extract_raw_features(PixelImage(values))
-    assert fv.values[0] == 1.0
-    assert np.all(fv.values[1:] == 0.0)
+    assert fv[0] == 1.0
+    assert np.all(fv[1:] == 0.0)
 
 
 @pytest.mark.parametrize("h,w", [(64, 64), (17, 33), (1, 1), (100, 40)])
 def test_raw_features_always_3072(h, w):
     rng = np.random.default_rng(h * 100 + w)
     fv = extract_raw_features(PixelImage(rng.uniform(size=(h, w, 3))))
-    assert fv.dims == 3072
+    assert fv.shape == (3072,)
 
 
 def test_histogram_all_red():
     fv = extract_histogram_features(solid((1.0, 0.0, 0.0)), 8)
     # (h_bin, s_bin, v_bin) = (0, 7, 7) -> flat 0*64 + 7*8 + 7
-    assert fv.values[63] == 1.0
-    assert np.count_nonzero(fv.values) == 1
+    assert fv[63] == 1.0
+    assert np.count_nonzero(fv) == 1
 
 
 def test_histogram_half_red_half_green():
@@ -159,9 +158,9 @@ def test_histogram_half_red_half_green():
     values[0, :, 0] = 1.0
     values[1, :, 1] = 1.0
     fv = extract_histogram_features(PixelImage(values), 8)
-    nonzero = np.flatnonzero(fv.values)
+    nonzero = np.flatnonzero(fv)
     assert len(nonzero) == 2
-    np.testing.assert_array_equal(fv.values[nonzero], [0.5, 0.5])
+    np.testing.assert_array_equal(fv[nonzero], [0.5, 0.5])
     assert 63 in nonzero  # red: (0, 7, 7)
     assert (2 * 64 + 7 * 8 + 7) in nonzero  # green: h=1/3 -> bin 2
 
@@ -170,7 +169,7 @@ def tally_oracle(pixels, bins):
     """Per-pixel Python tally, independent of the vectorized implementation."""
     counts = [0] * bins**3
     for r, g, b in pixels:
-        h, s, v = rgb_to_hsv(PixelImage(np.array([[[r, g, b]]]))).values[0, 0]
+        h, s, v = rgb_to_hsv(PixelImage(np.array([[[r, g, b]]])))[0, 0]
         hb = min(int(h * bins), bins - 1)
         sb = min(int(s * bins), bins - 1)
         vb = min(int(v * bins), bins - 1)
@@ -184,16 +183,16 @@ def test_histogram_matches_tally_oracle():
     pixels = rng.uniform(size=(100, 3))
     img = PixelImage(pixels.reshape(10, 10, 3))
     fv = extract_histogram_features(img, 4)
-    np.testing.assert_allclose(fv.values, tally_oracle(pixels, 4), atol=1e-12)
+    np.testing.assert_allclose(fv, tally_oracle(pixels, 4), atol=1e-12)
 
 
 @given(rgb_images, st.integers(1, 9))
 @settings(max_examples=60, deadline=None)
 def test_histogram_normalized_and_nonnegative(values, bins):
     fv = extract_histogram_features(PixelImage(values), bins)
-    assert fv.dims == bins**3
-    assert np.all(fv.values >= 0)
-    assert abs(fv.values.sum() - 1.0) < 1e-6
+    assert fv.shape == (bins**3,) and fv.dtype == np.float64
+    assert np.all(fv >= 0)
+    assert abs(fv.sum() - 1.0) < 1e-6
 
 
 @given(rgb_images, st.randoms(use_true_random=False))
@@ -205,14 +204,7 @@ def test_histogram_permutation_invariance(values, pyrandom):
     shuffled = PixelImage(np.array(flat).reshape(values.shape))
     a = extract_histogram_features(img, 8)
     b = extract_histogram_features(shuffled, 8)
-    np.testing.assert_array_equal(a.values, b.values)
-
-
-def test_feature_vector_validation():
-    with pytest.raises(ValueError):
-        FeatureVector("raw_pixel", np.zeros(10))
-    with pytest.raises(ValueError):
-        FeatureVector("something_else", np.zeros(10))
+    np.testing.assert_array_equal(a, b)
 
 
 # -- tensors ----------------------------------------------------------------

@@ -238,6 +238,29 @@ def test_overfits_eight_samples():
     assert acc == 1.0
 
 
+@pytest.mark.parametrize("n,batch_size", [(23, 5), (10, 4), (6, 3), (8, 8)])
+def test_train_epoch_batches_walk_one_seeded_permutation(monkeypatch, n, batch_size):
+    x = np.broadcast_to(np.arange(n, dtype=np.float32)[:, None, None, None], (n, 4, 4, 2)).copy()
+    y = np.arange(n) % 2
+    batches = []
+
+    def spy(net, params, xb, mode, rng=None):
+        batches.append(xb[:, 0, 0, 0].astype(np.int64))
+        return forward(net, params, xb, mode, rng)
+
+    forward = nn.network_forward
+    monkeypatch.setattr(nn, "network_forward", spy)
+    net = tiny_net()
+    rng = SeededPrng(4)
+    nn.train_epoch(net, nn.init_params(net, 0), x, y, batch_size, rng)
+    expected = SeededPrng(4)
+    np.testing.assert_array_equal(np.concatenate(batches), expected.permutation(n))
+    assert [len(b) for b in batches[:-1]] == [batch_size] * (len(batches) - 1)
+    assert 1 <= len(batches[-1]) <= batch_size
+    # the permutation is the epoch's only draw from a net without dropout
+    assert rng.next_u64() == expected.next_u64()
+
+
 def test_train_epoch_rejects_trailing_singleton_with_bn():
     net = nn.NetworkSpec((4, 4, 2), (nn.Conv2D(3, (3, 3)), nn.BatchNorm(3), nn.Flatten(), nn.Dense(2)))
     params = nn.init_params(net, 0)
