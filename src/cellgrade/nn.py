@@ -540,15 +540,19 @@ def dropout_backward(dy, mask, rate: float):
 
 def max_pool_forward(x, pool: tuple[int, int], stride: tuple[int, int], train: bool = True):
     """Per-window maximum, one window offset at a time. In train mode the cache
-    holds each maximum's offset k = i*pw + j, ties keeping the first position
-    in row-major order; eval mode keeps no cache."""
+    holds each maximum's offset k = i*pw + j, in the smallest unsigned dtype
+    that holds ph*pw - 1, ties keeping the first position in row-major order;
+    eval mode keeps no cache."""
     offsets = _offsets(pool, stride, _window_shape(x.shape[1:], pool, stride))
     y = x[next(offsets)].copy()
-    arg = np.zeros(y.shape, dtype=np.intp) if train else None
+    if train:
+        arg = np.zeros(y.shape, dtype=np.min_scalar_type(pool[0] * pool[1] - 1))
+        gt = np.empty(y.shape, dtype=bool)
     for k, win in enumerate(offsets, start=1):
         view = x[win]
-        if train:
-            arg = np.where(view > y, k, arg)
+        if train:  # k grows with the offset, so a strict gain moves arg to k
+            np.greater(view, y, out=gt)
+            np.maximum(arg, gt * arg.dtype.type(k), out=arg)
         np.maximum(view, y, out=y)  # on 0.0 vs -0.0, numpy returns the second operand: y
     return y, ((x.shape, arg, pool, stride) if train else None)
 

@@ -1,11 +1,11 @@
 """Minimal PNG codec: 8-bit RGB/RGBA in, 8-bit RGB out.
 
 Only what the cell-image corpus needs. Decoding checks chunk CRCs and
-reports the offending chunk and byte offset on failure, accepts any mix of
-the five scanline filters, rejects images over MAX_PIXELS pixels and never
-inflates more than the header declares. Encoding always writes unfiltered
-(type 0) scanlines with a fixed zlib level, so the same pixel array
-produces the same bytes on every platform.
+reports the offending chunk and byte offset on failure, undoes any mix of
+the five scanline filters with array-wide numpy steps (no loop over rows),
+rejects images over MAX_PIXELS pixels and never inflates more than the
+header declares. Encoding always writes unfiltered (type 0) scanlines
+with a fixed zlib level, so a pixel array gives the same bytes everywhere.
 """
 
 from __future__ import annotations
@@ -128,114 +128,113 @@ def _parse_ihdr(body: bytes, pos: int) -> tuple[int, int, int]:
 def _unfilter(rows: np.ndarray, width: int, bpp: int) -> np.ndarray:
     """Undo per-scanline filters; returns (height, width, bpp) uint8.
 
-    Every filter byte is checked first. Images without Average or Paeth rows
-    are rebuilt row by row, since None/Sub/Up rows vectorize along the row;
-    any other image is rebuilt by ``_unfilter_wavefront``.
+    Every filter byte is checked first. Images with any Average or Paeth row
+    are rebuilt by ``_unfilter_wavefront``; the others in whole-array steps:
+    Sub rows are a running sum along x, and a run of Up rows a running sum
+    down the columns from the None or Sub row above it (or from zero), all
+    mod 256 as the filters are.
     """
     ftypes = rows[:, 0]
     bad = np.flatnonzero(ftypes > 4)
     if bad.size:
         y = int(bad[0])
         raise DecodeError(f"scanline {y} uses unknown filter type {int(ftypes[y])}")
-    if np.any(ftypes >= 3):
-        return _unfilter_wavefront(rows, ftypes, width, bpp)
     height = rows.shape[0]
-    stride = width * bpp
-    out = np.zeros((height, stride), dtype=np.uint8)
-    zero_row = np.zeros(stride, dtype=np.uint8)
-    for y in range(height):
-        ftype = int(ftypes[y])
-        line = rows[y, 1:]
-        prev = out[y - 1] if y > 0 else zero_row
-        if ftype == 0:
-            out[y] = line
-        elif ftype == 1:
-            out[y] = np.cumsum(line.reshape(width, bpp), axis=0, dtype=np.uint8).reshape(-1)
-        else:
-            out[y] = line + prev
-    return out.reshape(height, width, bpp)
-
-
-def _unfilter_wavefront(rows: np.ndarray, ftypes: np.ndarray, width: int, bpp: int) -> np.ndarray:
-    """Undo any mix of filters one anti-diagonal at a time.
-
-    Pixel (y, x) reads only its left (y, x-1), up (y-1, x) and up-left
-    (y-1, x-1) neighbours, so the pixels on one anti-diagonal y + x = d are
-    independent and each diagonal is one vectorized int16 step over all its
-    rows and channels: height + width - 1 steps in all, each row predicted
-    by its own filter byte. Diagonal d is gathered into a flat line of
-    (height + 1) * bpp values, one pixel per row, shifted by one row so that
-    row -1 and the pixels left of x = 0 read as the zero border. Left and up
-    are then line d - 1 at rows y and y - 1, and up-left is line d - 2 at
-    row y - 1, all contiguous slices, and only three lines are kept.
-    """
-    height, line_len = rows.shape
-    out = np.empty((height, width, bpp), dtype=np.uint8)
-    # Pixel (y + 1, x - 1), the next one on the diagonal of (y, x), sits
-    # src_step bytes further in the filtered rows and dst_step pixels
-    # further in the output.
-    src = np.lib.stride_tricks.as_strided(
-        rows.reshape(-1), shape=(rows.size - bpp + 1, bpp), strides=(1, 1), writeable=False)
-    src_step = line_len - bpp
-    dst = out.reshape(-1, bpp)
-    dst_step = max(width - 1, 1)
-    lines = np.zeros((3, (height + 1) * bpp), dtype=np.int16)
-    kinds = ftypes.tolist()
-    # run_end[y]: first row after y whose filter type differs from row y's
-    run_end = [height] * height
-    for y in range(height - 2, -1, -1):
-        run_end[y] = run_end[y + 1] if kinds[y] == kinds[y + 1] else y + 1
-    # Diagonals crossing rows of several types predict
-    # (wa * left + wb * up) >> shift, which covers types 0-3, and take the
-    # Paeth predictor where is_paeth is set. One entry per row and channel.
-    per_value = ftypes.repeat(bpp)
-    wa = np.isin(per_value, (1, 3)).astype(np.int16)
-    wb = np.isin(per_value, (2, 3)).astype(np.int16)
-    shift = (per_value == 3).astype(np.int16)
-    is_paeth = per_value == 4
-    for d in range(height + width - 1):
-        y0, y1 = max(0, d - width + 1), min(height, d + 1)
-        n = y1 - y0
-        lo, hi = y0 * bpp, y1 * bpp
-        prev = lines[(d - 1) % 3]
-        left, up = prev[lo + bpp : hi + bpp], prev[lo:hi]
-        cur = lines[d % 3][lo + bpp : hi + bpp]
-        s0 = y0 * line_len + 1 + (d - y0) * bpp
-        cur.reshape(n, bpp)[...] = src[s0 : s0 + (n - 1) * src_step + 1 : src_step]
-        if run_end[y0] >= y1:
-            kind = kinds[y0]
-            if kind == 1:
-                cur += left
-            elif kind == 2:
-                cur += up
-            elif kind == 3:
-                pred = left + up
-                pred >>= 1
-                cur += pred
-            elif kind == 4:
-                cur += _paeth(left, up, lines[(d - 2) % 3][lo:hi])
-        else:
-            pred = left * wa[lo:hi]
-            pred += up * wb[lo:hi]
-            pred >>= shift[lo:hi]
-            if is_paeth[lo:hi].any():
-                upleft = lines[(d - 2) % 3][lo:hi]
-                pred = np.where(is_paeth[lo:hi], _paeth(left, up, upleft), pred)
-            cur += pred
-        cur &= 0xFF
-        p0 = y0 * width + d - y0
-        dst[p0 : p0 + (n - 1) * dst_step + 1 : dst_step] = cur.reshape(n, bpp)
+    data = rows[:, 1:].reshape(height, width, bpp)
+    if np.any(ftypes >= 3):
+        return _unfilter_wavefront(data, ftypes)
+    # sums[0] is the zero row above the image and sums[1:] the image
+    sums = np.zeros((height + 1, width, bpp), dtype=np.uint8)
+    out = sums[1:]
+    out[...] = data
+    sub = ftypes == 1
+    out[sub] = np.cumsum(data[sub], axis=1, dtype=np.uint8)
+    up = ftypes == 2
+    if up.any():
+        # anchor[y]: the last None or Sub row at or above y, or 0 if none is
+        anchor = np.arange(height, dtype=np.int32)  # MAX_PIXELS < 2**31
+        anchor[up] = 0
+        np.maximum.accumulate(anchor, out=anchor)
+        # sums[y + 1] becomes rows 0..y summed down each column, so row y
+        # is that sum less the sum of the rows above its anchor
+        np.cumsum(sums, axis=0, dtype=np.uint8, out=sums)
+        out -= sums[anchor]
     return out
 
 
-def _paeth(left: np.ndarray, up: np.ndarray, upleft: np.ndarray) -> np.ndarray:
-    """Paeth predictor on int16 arrays; ties prefer left, then up."""
-    dl = up - upleft  # p - left, with p = left + up - upleft
-    du = left - upleft  # p - up
-    dc = np.abs(dl + du)  # p - upleft
-    np.abs(dl, out=dl)
-    np.abs(du, out=du)
-    return np.where(dl <= np.minimum(du, dc), left, np.where(du <= dc, up, upleft))
+def _unfilter_wavefront(data: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
+    """Undo any mix of filters one anti-diagonal at a time.
+
+    Pixel (y, x) reads only its left, up and up-left neighbours, so each
+    anti-diagonal y + x = d is one vectorized step over its rows and
+    channels, each row predicted by its own filter byte. In the skewed copy,
+    line d + 2 holds diagonal d contiguously: pixel (y, d - y) at slot y + 1,
+    the row above at slot 0, and zero in slots that hold no pixel. Left and
+    up are then line d + 1 at slots y + 1 and y, up-left is line d at slot y.
+    Tall images run in bands of max(2 * width, 64) rows: the skewed copy stays
+    within three times the band's bytes, or a fixed size.
+    """
+    height, width, bpp = data.shape
+    out = np.empty_like(data)
+    band = min(height, max(2 * width, 64))
+    skew = np.zeros((band + width + 1, band + 1, bpp), dtype=np.uint8)
+    s_line, s_slot, _ = skew.strides
+    pixels = np.lib.stride_tricks.as_strided(
+        skew[2, 1:], shape=(band, width, bpp), strides=(s_line + s_slot, s_line, 1))
+    lines = skew.reshape(len(skew), -1)
+    # a diagonal across several filter types fills stack[1:] with every
+    # prediction and takes value i's from stack[kind of i, i], flat index pick[i]
+    stack = np.zeros((5, band * bpp), dtype=np.uint8)
+    kind_rows = list(enumerate(stack))[1:]
+    for r0 in range(0, height, band):
+        kind_of = ftypes[r0 : r0 + band]
+        n_rows = len(kind_of)
+        pixels[:n_rows] = data[r0 : r0 + n_rows]
+        skew[1 : width + 1, 0] = out[r0 - 1] if r0 else 0
+        pick = kind_of.astype(np.intp).repeat(bpp) * stack.shape[1] + np.arange(n_rows * bpp)
+        kinds = kind_of.tolist()
+        # rows y0..y1 - 1 share one filter type exactly when run[y0] == run[y1 - 1]
+        run = np.cumsum(np.diff(kind_of, prepend=kind_of[:1]) != 0).tolist()
+        steps = zip(lines, lines[1:], lines[2 : n_rows + width + 1])
+        for d, (line0, line1, line2) in enumerate(steps):
+            y0, y1 = max(0, d - width + 1), min(n_rows, d + 1)
+            lo, hi = y0 * bpp, y1 * bpp
+            cur, left, up = line2[lo + bpp : hi + bpp], line1[lo + bpp : hi + bpp], line1[lo:hi]
+            if run[y0] != run[y1 - 1]:
+                for k, row in kind_rows:
+                    row[lo:hi] = _predict(k, left, up, line0[lo:hi])
+                cur += stack.take(pick[lo:hi])
+            elif kinds[y0]:
+                cur += _predict(kinds[y0], left, up, line0[lo:hi])
+        out[r0 : r0 + n_rows] = pixels[:n_rows]
+    return out
+
+
+def _paeth_deltas() -> np.ndarray:
+    """Paeth's pick (ties prefer left, then up) minus up-left, mod 256, at flat
+    index (left - upleft) * 511 + (up - upleft), negative ones from the end."""
+    diff = np.arange(-255, 256, dtype=np.int16)
+    du, dl = diff[:, None], diff[None, :]  # p - up and p - left
+    dc = np.abs(du + dl)  # p - upleft
+    pick = np.where(np.abs(dl) <= np.minimum(np.abs(du), dc), du, np.where(np.abs(du) <= dc, dl, 0))
+    return np.roll(pick.astype(np.uint8).reshape(-1), -(255 * 511 + 255))
+
+
+_PAETH_DELTAS = _paeth_deltas()
+
+
+def _predict(kind: int, left: np.ndarray, up: np.ndarray, upleft: np.ndarray) -> np.ndarray:
+    """Filter type 1-4's prediction on uint8 arrays, mod 256."""
+    if kind == 1:
+        return left
+    if kind == 2:
+        return up
+    if kind == 3:  # (left + up) >> 1 without leaving uint8
+        return (left & up) + ((left ^ up) >> 1)
+    key = np.multiply(left, 511, dtype=np.intp)
+    key += up
+    key -= np.multiply(upleft, 512, dtype=np.intp)
+    return upleft + _PAETH_DELTAS.take(key)
 
 
 def encode_rgb8(pixels: np.ndarray) -> bytes:

@@ -277,8 +277,11 @@ def test_criterion_7_extended_corpus(tmp_path):
 
     A euclidean k_sweep over 27,558 random rows (4 folds, k=10) measured 16.5 s
     at 512 dims and 54.9 s at 3072 dims on a 2-core x86 VM with OpenBLAS, so
-    each kNN leg's search takes about a minute. Decoding 27,558 images at NIH
-    sizes is not measured; the CNN leg takes hours on CPU.
+    each kNN leg's search takes about a minute. Decoding was measured on synth
+    cells resized to 100-150 px and re-encoded with a libpng-style filter per
+    row (least sum of |residual|; 78-79% Paeth, 18-20% Average rows): a median
+    of 5.8-8.5 ms per image over three runs of 40-60 images, so each leg's
+    27,558 decodes take 2.7-3.9 minutes. The CNN leg takes hours on CPU.
     """
     raw = harness.cmd_knn(NIH_DIR, "raw", EUCLIDEAN, [10], folds=4, seed=0,
                           out_prefix=str(tmp_path / "raw"))

@@ -41,6 +41,16 @@ def test_decode_all_black():
     assert np.all(img.values == 0.0)
 
 
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_decode_divides_pixels_exactly_as_float64(h, w, seed):
+    pixels = np.random.default_rng(seed).integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    pixels[0, 0] = (0, 255, 1)
+    img = decode_image(png.encode_rgb8(pixels))
+    assert img.values.dtype == np.float64
+    assert img.values.tobytes() == (pixels.astype(np.float64) / 255.0).tobytes()
+
+
 def test_decode_truncated_raises():
     data = png.encode_rgb8(np.zeros((2, 2, 3), dtype=np.uint8))
     with pytest.raises(DecodeError):
@@ -90,6 +100,28 @@ def test_resize_stays_within_input_range(values, out_w, out_h):
     out = resize_bilinear(img, out_w, out_h)
     assert out.values.min() >= values.min() - 1e-12
     assert out.values.max() <= values.max() + 1e-12
+
+
+def gather_resize(v, out_w, out_h):
+    """The four-gather formula resize_bilinear replaced: both rows interpolated
+    along x per output row, then mixed along y."""
+    x0, x1, wx = imaging._axis_coords(v.shape[1], out_w)
+    y0, y1, wy = imaging._axis_coords(v.shape[0], out_h)
+    top = v[y0[:, None], x0[None, :]] * (1 - wx)[None, :, None] + v[y0[:, None], x1[None, :]] * wx[None, :, None]
+    bot = v[y1[:, None], x0[None, :]] * (1 - wx)[None, :, None] + v[y1[:, None], x1[None, :]] * wx[None, :, None]
+    return np.clip(top * (1 - wy)[:, None, None] + bot * wy[:, None, None], 0.0, 1.0)
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_resize_is_byte_identical_to_gather_formula(h, w, out_h, out_w, same_size, seed):
+    if same_size:
+        out_h, out_w = h, w
+    v = np.random.default_rng(seed).uniform(size=(h, w, 3))
+    out = resize_bilinear(PixelImage(v), out_w, out_h).values
+    assert out.shape == (out_h, out_w, 3)
+    assert out.tobytes() == gather_resize(v, out_w, out_h).tobytes()
 
 
 def test_resize_rejects_bad_size():

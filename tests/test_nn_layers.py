@@ -250,12 +250,25 @@ def pool_case(data):
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_max_pool_backward_matches_scatter_add(data):
-    x, (ph, pw), (sh, sw), rng = pool_case(data)
+    check_max_pool_against_oracle(*pool_case(data))
+
+
+def test_max_pool_over_256_offsets_matches_scatter_add():
+    # 17 x 16 = 272 window offsets: arg no longer fits in uint8
+    rng = np.random.default_rng(12)
+    x = rng.integers(0, 3, size=(2, 21, 19, 3)).astype(np.float32)
+    x *= rng.choice(np.array([-1, 1], dtype=np.float32), size=x.shape)
+    check_max_pool_against_oracle(x, (17, 16), (2, 1), rng)
+
+
+def check_max_pool_against_oracle(x, pool, stride, rng):
+    (ph, pw), (sh, sw) = pool, stride
     dtype = x.dtype
     y, cache = nn.max_pool_forward(x, (ph, pw), (sh, sw))
     y_ref, arg_ref = window_view_max_pool(x, (ph, pw), (sh, sw))
     assert y.dtype == dtype and y.tobytes() == y_ref.tobytes()  # bytes: keeps -0.0 vs 0.0
-    assert cache[1].dtype == arg_ref.dtype and np.array_equal(cache[1], arg_ref)
+    assert cache[1].dtype == np.min_scalar_type(ph * pw - 1)  # uint8 up to 256 offsets
+    assert np.array_equal(cache[1], arg_ref)
     dy = rng.normal(size=y.shape).astype(dtype)
     dx = nn.max_pool_backward(dy, cache)
     expected = scatter_add_max_pool_backward(dy, cache)

@@ -192,11 +192,30 @@ def filtered_images(draw):
 @given(filtered_images())
 @example((np.arange(1 * 37 * 3, dtype=np.uint8).reshape(1, 37, 3), [4]))
 @example((np.arange(29 * 1 * 4, dtype=np.uint8).reshape(29, 1, 4), [3, 4, 1] * 9 + [4, 0]))
+# long Up runs: after a Sub anchor, and after a None anchor that follows Up
+# rows with no anchor above them
+@example(((np.arange(60 * 5 * 3) % 251).astype(np.uint8).reshape(60, 5, 3), [1] + [2] * 59))
+@example(((np.arange(60 * 5 * 4) % 253).astype(np.uint8).reshape(60, 5, 4), [2] * 3 + [0] + [2] * 56))
+# tall enough to run in three bands, with filter types mixed across their seams
+@example(((np.arange(150 * 2 * 3) % 241).astype(np.uint8).reshape(150, 2, 3), [4, 3, 1, 2, 0] * 30))
 def test_decode_per_row_mixed_filters(case):
     pixels, ftypes = case
     color_type = 6 if pixels.shape[2] == 4 else 2
     decoded = png.decode_rgb8(encode_with_filter(pixels, ftypes, color_type))
     np.testing.assert_array_equal(decoded, pixels[:, :, :3])
+
+
+def decode_peak_over_output(rows: np.ndarray, width: int) -> float:
+    """tracemalloc peak of decoding these filtered rows, over the output's bytes."""
+    data = png_file(width, rows.shape[0], rows.tobytes())
+    tracemalloc.start()
+    try:
+        pixels = png.decode_rgb8(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pixels.shape == (rows.shape[0], width, 3)
+    return peak / pixels.nbytes
 
 
 def test_paeth_decode_memory_is_bounded_by_the_image():
@@ -205,15 +224,21 @@ def test_paeth_decode_memory_is_bounded_by_the_image():
     rows = np.empty((side, 1 + side * 3), dtype=np.uint8)
     rows[:, 0] = 4
     rows[:, 1:] = rng.integers(0, 256, size=(side, side * 3), dtype=np.uint8)
-    data = png_file(side, side, rows.tobytes())
-    tracemalloc.start()
-    try:
-        pixels = png.decode_rgb8(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert pixels.shape == (side, side, 3)
-    assert peak < 8 * pixels.nbytes, peak / pixels.nbytes
+    ratio = decode_peak_over_output(rows, side)
+    assert ratio < 8, ratio
+
+
+# a lone row cannot mix filter types, so 1 x 65536 is Paeth only
+@pytest.mark.parametrize("rows_of,height,width", [
+    ("paeth", 1, 65536), ("paeth", 65536, 1), ("paeth", 4096, 16),
+    ("mixed", 65536, 1), ("mixed", 4096, 16),
+])
+def test_thin_image_decode_memory_is_bounded_by_the_image(rows_of, height, width):
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 256, size=(height, 1 + width * 3), dtype=np.uint8)
+    rows[:, 0] = 4 if rows_of == "paeth" else np.resize([3, 4, 1, 0, 2], height)
+    ratio = decode_peak_over_output(rows, width)
+    assert ratio < 8, ratio
 
 
 def test_oversized_ihdr_is_unsupported_before_inflating():
