@@ -16,7 +16,7 @@ Everything is seeded and deterministic: same inputs, same seed, same bytes.
 
 __version__ = "0.1.0"
 
-from .data import LabeledDataset, load_dataset, synth_generate
+from .data import load_dataset, synth_generate
 from .errors import (
     CellgradeError,
     ConfigError,
@@ -40,7 +40,6 @@ from .knn import (
     DistanceMetric,
     KnnModel,
     NeighborSet,
-    cross_validate,
     distance,
     k_nearest,
     k_sweep,

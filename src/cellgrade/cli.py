@@ -28,6 +28,8 @@ def parse_k_list(text: str) -> list[int]:
             part = part.strip()
             if "-" in part[1:]:
                 lo, hi = (int(v) for v in part.split("-", 1))
+                if hi < lo:
+                    raise ConfigError(f"k list {text!r} has a reversed span {part!r}")
             else:
                 lo = hi = int(part)
             if len(values) + hi - lo + 1 > _MAX_K_VALUES:
@@ -143,15 +145,12 @@ def main(argv=None) -> int:
     except (ConfigError, ShapeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -36,34 +36,25 @@ class DatasetItem:
     label: int
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Ordered (id, source, label) items; ids are root-relative paths."""
-
-    items: tuple[DatasetItem, ...]
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
 _CLASS_DIRS = (("Parasitized", 1), ("Uninfected", 0))
 
 
-def load_dataset(root) -> LabeledDataset:
-    """Enumerate the Parasitized/Uninfected layout, sorted lexicographically."""
+def _png_names(class_dir: Path) -> list[str]:
+    return [p.name for p in class_dir.iterdir() if p.is_file() and p.suffix.lower() == ".png"]
+
+
+def load_dataset(root) -> tuple[DatasetItem, ...]:
+    """Parasitized/Uninfected items sorted lexicographically by id, the root-relative path."""
     root = Path(root)
     items = []
     for sub, label in _CLASS_DIRS:
         class_dir = root / sub
         if not class_dir.is_dir():
             raise DataError(f"missing class directory {class_dir}")
-        for p in class_dir.iterdir():
-            if p.is_file() and p.suffix.lower() == ".png":
-                items.append(DatasetItem(f"{sub}/{p.name}", p, label))
+        items.extend(DatasetItem(f"{sub}/{n}", class_dir / n, label) for n in _png_names(class_dir))
     if not items:
         raise DataError(f"no PNG files found under {root}")
-    items.sort(key=lambda it: it.sample_id)
-    return LabeledDataset(tuple(items))
+    return tuple(sorted(items, key=lambda it: it.sample_id))
 
 
 def stratified_fold_indices(labels, folds: int, seed: int) -> np.ndarray:
@@ -151,11 +142,11 @@ SYNTH_PARAMS = {
 }
 
 
-def _ellipse_mask(xx, yy, cx, cy, a, b, theta):
+def _ellipse_rho(xx, yy, cx, cy, a, b, theta):
     ct, st = np.cos(theta), np.sin(theta)
     xr = (xx - cx) * ct + (yy - cy) * st
     yr = -(xx - cx) * st + (yy - cy) * ct
-    return (xr / a) ** 2 + (yr / b) ** 2 <= 1.0
+    return (xr / a) ** 2 + (yr / b) ** 2
 
 
 def _hsv_color(rng: SeededPrng, p: dict, prefix: str) -> np.ndarray:
@@ -185,9 +176,7 @@ def _draw_cell(rng: SeededPrng, side: int, parasitized: bool) -> np.ndarray:
     b = a * span("cell_aspect")
     theta = u() * np.pi
     ct, st = np.cos(theta), np.sin(theta)
-    xr = (xx - cx) * ct + (yy - cy) * st
-    yr = -(xx - cx) * st + (yy - cy) * ct
-    rho = (xr / a) ** 2 + (yr / b) ** 2
+    rho = _ellipse_rho(xx, yy, cx, cy, a, b, theta)
     cell_mask = rho <= 1.0
     shade = 1.0 - p["cell_shading"] * rho
     img[cell_mask] = _hsv_color(rng, p, "cell") * shade[cell_mask, None]
@@ -204,8 +193,8 @@ def _draw_cell(rng: SeededPrng, side: int, parasitized: bool) -> np.ndarray:
         count = p["artifact_count"][0] + rng.below(p["artifact_count"][1] - p["artifact_count"][0] + 1)
         for _ in range(count):
             sx, sy = inside_cell_point(0.65)
-            streak = _ellipse_mask(xx, yy, sx, sy, span("artifact_len"),
-                                   span("artifact_width"), u() * np.pi)
+            streak = _ellipse_rho(xx, yy, sx, sy, span("artifact_len"),
+                                  span("artifact_width"), u() * np.pi) <= 1.0
             img[streak & cell_mask] = _hsv_color(rng, p, "artifact")
 
     if parasitized:
@@ -226,7 +215,7 @@ def synth_generate(out_dir, n: int, parasitized_fraction: float = 0.5,
     """Write a synthetic Parasitized/Uninfected PNG tree plus manifest.json.
 
     Byte-reproducible: the same (seed, n, fraction, side) always produces
-    identical files. Returns the manifest dict.
+    identical files. Returns the manifest dict. Refuses a tree holding other PNGs.
     """
     if n < 2:
         raise ConfigError(f"need n >= 2 images, got {n}")
@@ -238,15 +227,20 @@ def synth_generate(out_dir, n: int, parasitized_fraction: float = 0.5,
     out_dir = Path(out_dir)
     n_par = int(np.floor(n * parasitized_fraction + 0.5))
     counts = {"Parasitized": n_par, "Uninfected": n - n_par}
+    names = {sub: [f"cell_{i:05d}.png" for i in range(c)] for sub, c in counts.items()}
     master = SeededPrng(seed)
     try:
+        for sub, _ in _CLASS_DIRS:
+            stale = (out_dir / sub).is_dir() and set(_png_names(out_dir / sub)) - set(names[sub])
+            if stale:
+                raise ConfigError(f"{out_dir / sub / min(stale)} is left over; use an empty directory")
         for sub, label in _CLASS_DIRS:
             class_dir = out_dir / sub
             class_dir.mkdir(parents=True, exist_ok=True)
-            for i in range(counts[sub]):
+            for name in names[sub]:
                 pixels = _draw_cell(master.split(), side, parasitized=bool(label))
                 data = png.encode_rgb8(np.round(pixels * 255.0).astype(np.uint8))
-                (class_dir / f"cell_{i:05d}.png").write_bytes(data)
+                (class_dir / name).write_bytes(data)
         manifest = {
             "generator_version": GENERATOR_VERSION,
             "seed": seed,

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import LabeledDataset, load_dataset, synth_generate, train_val_split_indices
+from .data import DatasetItem, load_dataset, synth_generate, train_val_split_indices
 from .errors import ConfigError, DataError, IntegrityError
 from .imaging import decode_image, extract_histogram_features, extract_raw_features, image_to_tensor
 from .knn import DistanceMetric, k_sweep
@@ -105,13 +105,13 @@ def _write_json(path, payload: dict) -> None:
 # Dataset -> arrays
 # --------------------------------------------------------------------------
 
-def _decode_each(dataset: LabeledDataset, convert):
+def _decode_each(dataset: tuple[DatasetItem, ...], convert):
     """(stacked convert(image) rows, labels, skipped) over the decodable images.
 
     Unreadable or malformed files are skipped and reported, not fatal.
     """
     rows, labels, skipped = [], [], []
-    for item in dataset.items:
+    for item in dataset:
         try:
             img = decode_image(item.source.read_bytes())
         except (DataError, OSError) as exc:
@@ -124,7 +124,7 @@ def _decode_each(dataset: LabeledDataset, convert):
     return np.stack(rows), np.array(labels, dtype=np.int64), skipped
 
 
-def extract_feature_matrix(dataset: LabeledDataset, kind: str, bins: int = 8):
+def extract_feature_matrix(dataset: tuple[DatasetItem, ...], kind: str, bins: int = 8):
     """(features, labels, skipped) for every decodable image in the dataset."""
     if kind == "raw_pixel":
         return _decode_each(dataset, extract_raw_features)
@@ -133,7 +133,7 @@ def extract_feature_matrix(dataset: LabeledDataset, kind: str, bins: int = 8):
     raise ConfigError(f"unknown feature kind {kind!r}")
 
 
-def load_tensor_batch(dataset: LabeledDataset, side: int):
+def load_tensor_batch(dataset: tuple[DatasetItem, ...], side: int):
     """(tensors [N, side, side, 3] float32, labels, skipped) for the CNN path."""
     return _decode_each(dataset, lambda img: image_to_tensor(img, side).astype(np.float32))
 

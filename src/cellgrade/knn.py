@@ -8,7 +8,7 @@ distance from _row_distances, so the order does not depend on the BLAS kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,18 +182,15 @@ def _vote(sorted_labels: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CvReport:
-    """Per-fold held-out accuracies for one (k, metric) configuration."""
+    """Per-fold held-out accuracies for one k of a sweep."""
 
     k: int
-    metric: DistanceMetric
-    folds: int
-    seed: int
     accuracies: tuple[float, ...]
     fold_hash: str
-    mean: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", float(np.mean(self.accuracies)))
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.accuracies))
 
 
 def _fold_sorted_labels(features, labels, assignment, folds, metric, max_k):
@@ -210,16 +207,9 @@ def _fold_sorted_labels(features, labels, assignment, folds, metric, max_k):
     return per_fold
 
 
-def cross_validate(features: np.ndarray, labels: np.ndarray, k: int, folds: int,
-                   metric: DistanceMetric = EUCLIDEAN, seed: int = 0) -> CvReport:
-    """Stratified k-fold CV: train on folds-1 parts, score the held-out part."""
-    report, = k_sweep(features, labels, [k], folds, metric, seed)
-    return report
-
-
 def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
             metric: DistanceMetric = EUCLIDEAN, seed: int = 0) -> list[CvReport]:
-    """One cross_validate per k, all sharing a single fold assignment.
+    """Stratified k-fold cross-validation for each k, all sharing one fold assignment.
 
     Neighbour lists are computed once up to max(k_values), so sweep curves
     are directly comparable and cheap.
@@ -239,5 +229,5 @@ def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
     for k in k_values:
         accs = tuple(float(np.mean(_vote(sorted_labels, k) == truth))
                      for sorted_labels, truth in per_fold)
-        reports.append(CvReport(k, metric, folds, seed, accs, fold_hash))
+        reports.append(CvReport(k, accs, fold_hash))
     return reports

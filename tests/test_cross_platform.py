@@ -40,7 +40,7 @@ def probe(workdir: Path) -> dict:
                             *data.train_val_split_indices(labels, 0.2, 3))
     data.synth_generate(workdir, 6, 0.5, 40, seed=5)
     images = [imaging.decode_image(item.source.read_bytes())
-              for item in data.load_dataset(workdir).items]
+              for item in data.load_dataset(workdir)]
     out["png"] = _digest(*(img.values for img in images))
     out["features"] = _digest(*(imaging.extract_histogram_features(img) for img in images),
                               *(imaging.extract_raw_features(img) for img in images))

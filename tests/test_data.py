@@ -33,10 +33,10 @@ def test_load_dataset_counts_and_order(tmp_path):
     make_tree(tmp_path, 3, 2)
     ds = load_dataset(tmp_path)
     assert len(ds) == 5
-    assert [it.label for it in ds.items] == [1, 1, 1, 0, 0]
-    ids = [it.sample_id for it in ds.items]
+    assert [it.label for it in ds] == [1, 1, 1, 0, 0]
+    ids = [it.sample_id for it in ds]
     assert ids == sorted(ids)
-    assert ds.items[0].label == 1  # 'Parasitized/...' sorts before 'Uninfected/...'
+    assert ds[0].label == 1  # 'Parasitized/...' sorts before 'Uninfected/...'
 
 
 def test_load_dataset_missing_directory(tmp_path):
@@ -109,7 +109,7 @@ def test_stratified_folds_class_too_small():
 
 def test_fold_assignment_hash(tmp_path):
     make_tree(tmp_path, 4, 4)
-    labels = [it.label for it in load_dataset(tmp_path).items]
+    labels = [it.label for it in load_dataset(tmp_path)]
     assignment = stratified_fold_indices(labels, 2, seed=3)
     digest = fold_assignment_hash(assignment, 2, 3)
     assert len(digest) == 16 and int(digest, 16) >= 0
@@ -137,9 +137,9 @@ def test_split_four_items_fraction_05():
 def test_split_union_restores_everything(tmp_path):
     make_tree(tmp_path, 6, 6)
     ds = load_dataset(tmp_path)
-    train, val = train_val_split_indices([it.label for it in ds.items], 0.25, seed=9)
-    ids = [ds.items[i].sample_id for i in (*train, *val)]
-    assert sorted(ids) == sorted(it.sample_id for it in ds.items)
+    train, val = train_val_split_indices([it.label for it in ds], 0.25, seed=9)
+    ids = [ds[i].sample_id for i in (*train, *val)]
+    assert sorted(ids) == sorted(it.sample_id for it in ds)
     assert len(set(ids)) == len(ds)
 
 
@@ -186,6 +186,30 @@ def test_synth_parameter_validation(tmp_path):
         synth_generate(tmp_path, 10, 0.5, side=4)
 
 
+def tree_bytes(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_synth_refuses_a_tree_holding_other_pngs(tmp_path):
+    synth_generate(tmp_path, 20, 0.5, side=16, seed=1)
+    first = tree_bytes(tmp_path)
+    with pytest.raises(ConfigError, match=r"cell_00005\.png is left over"):
+        synth_generate(tmp_path, 10, 0.5, side=16, seed=1)
+    assert tree_bytes(tmp_path) == first  # refused before anything was written
+    synth_generate(tmp_path, 20, 0.5, side=16, seed=1)  # the same command into its own output
+    assert tree_bytes(tmp_path) == first
+    synth_generate(tmp_path, 24, 0.5, side=16, seed=1)  # a superset of the names
+    assert len(load_dataset(tmp_path)) == 24
+    # load_dataset's filter decides what counts: files with a .png suffix in any case
+    fresh = tmp_path / "fresh"
+    (fresh / "Uninfected" / "folder.png").mkdir(parents=True)
+    (fresh / "Uninfected" / "notes.txt").write_text("not an image")
+    synth_generate(fresh, 4, 0.5, side=16, seed=1)
+    (fresh / "Uninfected" / "EXTRA.PNG").write_bytes(b"")
+    with pytest.raises(ConfigError, match="EXTRA.PNG"):
+        synth_generate(fresh, 4, 0.5, side=16, seed=1)
+
+
 def test_synth_classes_differ_in_parasite_color_mass(small_synth):
     """Generator acceptance gate: histogram mass in the parasite color region
     must be measurably higher for parasitized images."""
@@ -200,5 +224,5 @@ def test_synth_classes_differ_in_parasite_color_mass(small_synth):
 
 def test_synth_images_decode_to_declared_side(small_synth):
     ds = load_dataset(small_synth)
-    img = imaging.decode_image(ds.items[0].source.read_bytes())
+    img = imaging.decode_image(ds[0].source.read_bytes())
     assert img.width == 48 and img.height == 48

@@ -188,12 +188,12 @@ def test_cnn_train_then_eval_on_train_split_matches(small_synth, tmp_path):
     out = harness.cmd_cnn_train(small_synth, reduced=True, epochs=2, batch_size=16,
                                 seed=3, val_frac=0.25, out_prefix=str(tmp_path / "run"))
     ds = load_dataset(small_synth)
-    train_idx, _ = train_val_split_indices([it.label for it in ds.items], 0.25, seed=3)
+    train_idx, _ = train_val_split_indices([it.label for it in ds], 0.25, seed=3)
     train_dir = tmp_path / "train_only"
     (train_dir / "Parasitized").mkdir(parents=True)
     (train_dir / "Uninfected").mkdir(parents=True)
     for i in train_idx:
-        item = ds.items[int(i)]
+        item = ds[int(i)]
         shutil.copy(item.source, train_dir / item.sample_id)
     report = harness.cmd_cnn_eval(tmp_path / "run.ckpt", train_dir,
                                   out_path=str(tmp_path / "eval.json"), reduced=True)
@@ -260,6 +260,7 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     capsys.readouterr()
     for args in (["knn", "--k", "50", "--folds", "2"],
                  ["knn", "--k", "1-x"],  # span bound is not an integer
+                 ["knn", "--k", "1,10-5"],  # a reversed span, not k=1 alone
                  ["cnn-train", "--reduced", "--dropout", "0.1"],  # preset takes two rates
                  ["cnn-train", "--dropout", "0.1,abc"],
                  ["cnn-train", "--reduced", "--dropout="],  # empty list, not the preset
@@ -290,6 +291,12 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         assert err.startswith("configuration error") and err.count("\n") == 1, err
         assert not (tmp_path / "x.ckpt").exists(), args
         assert not (tmp_path / "x").exists(), args
+    # synth into another run's tree (6 + 6 images) is refused before it writes
+    before = sorted(p.name for p in out.rglob("*"))
+    assert main(["synth", "--out", str(out), "--n", "10", "--side", "24", "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "left over" in err and err.count("\n") == 1
+    assert sorted(p.name for p in out.rglob("*")) == before
     with pytest.raises(SystemExit) as exc:  # asking for help is not an error
         main(["knn", "--help"])
     assert exc.value.code == 0
@@ -367,6 +374,8 @@ def test_parse_k_list():
     assert parse_k_list("10") == [10]
     assert parse_k_list("1,5,10") == [1, 5, 10]
     assert parse_k_list("1-4,9") == [1, 2, 3, 4, 9]
+    with pytest.raises(ConfigError, match="reversed span '10-5'"):
+        parse_k_list("1,10-5")  # not k=1 alone
 
 
 def test_parse_k_list_caps_values_before_expanding():

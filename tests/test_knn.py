@@ -16,7 +16,6 @@ from cellgrade.knn import (
     DistanceMetric,
     KnnModel,
     NeighborSet,
-    cross_validate,
     distance,
     k_nearest,
     k_sweep,
@@ -243,7 +242,7 @@ def separable_set(n=80, seed=0):
 
 def test_cross_validate_separable_is_perfect():
     x, y = separable_set()
-    report = cross_validate(x, y, k=1, folds=4, seed=3)
+    report, = k_sweep(x, y, [1], folds=4, seed=3)
     assert report.mean == 1.0
     assert report.accuracies == (1.0, 1.0, 1.0, 1.0)
 
@@ -253,21 +252,21 @@ def test_cross_validate_shuffled_labels_near_chance():
     x = rng.uniform(size=(400, 8))
     y = np.array([0, 1] * 200)
     rng.shuffle(y)
-    report = cross_validate(x, y, k=5, folds=4, seed=11)
+    report, = k_sweep(x, y, [5], folds=4, seed=11)
     assert abs(report.mean - 0.5) <= 0.1
 
 
 def test_cross_validate_deterministic():
     x, y = separable_set(seed=9)
-    a = cross_validate(x, y, k=3, folds=4, metric=MANHATTAN, seed=21)
-    b = cross_validate(x, y, k=3, folds=4, metric=MANHATTAN, seed=21)
+    a = k_sweep(x, y, [3], folds=4, metric=MANHATTAN, seed=21)
+    b = k_sweep(x, y, [3], folds=4, metric=MANHATTAN, seed=21)
     assert a == b
 
 
 def test_cross_validate_fold_too_small():
     x, y = separable_set(n=8)
     with pytest.raises(ConfigError, match="fewer than k"):
-        cross_validate(x, y, k=7, folds=4, seed=0)
+        k_sweep(x, y, [7], folds=4, seed=0)
 
 
 def test_k_sweep_shares_fold_assignment():
@@ -275,7 +274,7 @@ def test_k_sweep_shares_fold_assignment():
     reports = k_sweep(x, y, [1, 5, 10], folds=4, seed=5)
     assert [r.k for r in reports] == [1, 5, 10]
     assert len({r.fold_hash for r in reports}) == 1
-    single = cross_validate(x, y, k=5, folds=4, seed=5)
+    single, = k_sweep(x, y, [5], folds=4, seed=5)
     assert reports[1] == single
 
 
@@ -285,7 +284,7 @@ def test_k_sweep_consistent_with_per_query_path():
     x = rng.normal(size=(30, 5))
     y = rng.integers(0, 2, size=30)
     for metric in (EUCLIDEAN, MANHATTAN, HAMMING, minkowski(2.5)):
-        report = cross_validate(x, y, k=3, folds=3, metric=metric, seed=2)
+        report, = k_sweep(x, y, [3], folds=3, metric=metric, seed=2)
         from cellgrade.data import stratified_fold_indices
 
         assignment = stratified_fold_indices(y, 3, 2)

@@ -153,14 +153,30 @@ def test_dropout_eval_is_identity():
 def test_dropout_mean_preservation_and_reproducibility():
     x = np.ones((100, 100))
     layer = nn.Dropout(0.5)
-    y, mask = layer.forward(x, {}, True, SeededPrng(77))
+    y, cache = layer.forward(x, {}, True, SeededPrng(77))
     assert abs(y.mean() - 1.0) < 0.05
-    survivors = mask.mean()
+    survivors = (cache > 0).mean()
     assert 0.45 < survivors < 0.55
-    y2, mask2 = layer.forward(x, {}, True, SeededPrng(77))
+    y2, cache2 = layer.forward(x, {}, True, SeededPrng(77))
     np.testing.assert_array_equal(y, y2)
-    np.testing.assert_array_equal(mask, mask2)
-    np.testing.assert_array_equal(layer.backward(x, mask)[0], y)  # same scaled mask
+    np.testing.assert_array_equal(cache, cache2)
+    np.testing.assert_array_equal(layer.backward(x, cache)[0], y)  # same scaled mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.25, 0.5, 0.7])
+def test_dropout_backward_is_bytewise_the_mask_formula(dtype, rate):
+    """Backward multiplies by the cached scale; the mask formula it replaced is copied here."""
+    shape = (3, 5, 5, 4)
+    layer = nn.Dropout(rate)
+    _, scale = layer.forward(RNG.normal(size=shape).astype(dtype), {}, True, SeededPrng(11))
+    mask = SeededPrng(11).uniform(shape) >= rate  # the draw dropout_forward makes
+    assert scale.dtype == dtype and np.array_equal(scale > 0, mask)
+    r = RNG.normal(size=shape).astype(dtype)
+    for g in (r, -np.abs(r), np.copysign(np.zeros(shape, dtype), r)):  # random, negative, ±0
+        old = g * (mask.astype(g.dtype) / np.asarray(1.0 - rate, dtype=g.dtype))
+        new = layer.backward(g, scale)[0]
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
 
 
 # -- pooling ------------------------------------------------------------------

@@ -103,7 +103,8 @@ def test_reduced_network_is_valid_and_small():
     shapes = nn.infer_shapes(net)
     assert shapes[-1] == (2,)
     total, trainable, non_trainable = nn.count_params(net)
-    assert total < 500_000
+    assert (total, trainable, non_trainable) == (171_682, 171_458, 224)
+    assert "171,682 parameters, 224 non-trainable" in nn.reduced_network.__doc__
     assert non_trainable == sum(2 * lay.channels for lay in net.layers
                                 if isinstance(lay, nn.BatchNorm))
 

@@ -45,7 +45,7 @@ def test_adam_first_step_magnitude_is_lr():
     params = nn.init_params(net, 1, dtype=np.float64)
     w0 = params.layers[0]["weights"].copy()
     grads = [{"weights": np.ones((1, 1)), "bias": np.zeros(1)}]
-    nn.adam_step(params, grads, lr=0.01, eps=1e-7)
+    nn.adam_step(params, grads, lr=0.01)
     delta = (w0 - params.layers[0]["weights"]).item()
     assert delta == pytest.approx(0.01, rel=1e-5)  # bias-corrected first step
 
