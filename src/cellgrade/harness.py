@@ -38,8 +38,8 @@ import hashlib
 import json
 import math
 import os
+import secrets
 import struct
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +81,9 @@ def _config_block(config: dict, extra: dict | None = None) -> list[str]:
 def _atomic_write(path, data: bytes | bytearray) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    # 0o666 less the umask, as open() gives; tempfile.mkstemp would force 0o600
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import shutil
+import stat
 import struct
 import tracemalloc
 
@@ -240,6 +242,21 @@ def test_cmd_cnn_train_rerun_byte_identical(small_synth, tmp_path):
                               out_prefix=str(tmp_path / name))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_get_the_mode_open_would_give(small_synth, tmp_path, umask, mode):
+    """CSV, JSON and checkpoint files are 0o666 less the umask, like any file open() makes."""
+    old = os.umask(umask)
+    try:
+        harness.cmd_knn(small_synth, "hist", EUCLIDEAN, [3], folds=2, out_prefix=str(tmp_path / "k"))
+        harness.cmd_cnn_train(small_synth, reduced=True, epochs=0, out_prefix=str(tmp_path / "c"))
+        harness.cmd_cnn_eval(tmp_path / "c.ckpt", small_synth, out_path=str(tmp_path / "e.json"),
+                             reduced=True)
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["k.csv", "k.json", "c.csv", "c.ckpt", "e.json"], mode)
 
 
 # -- cli ---------------------------------------------------------------------------

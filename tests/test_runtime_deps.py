@@ -1,8 +1,12 @@
 """README says "The only runtime dependency is numpy". Every import statement
 in the package is held to that: the standard library, numpy and cellgrade
-itself, checked on whichever Python runs the suite."""
+itself, checked on whichever Python runs the suite. The package re-exports
+nothing, so importing one module loads only the modules that it imports."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +35,13 @@ def test_package_imports_only_numpy_and_the_standard_library():
                      for root in imported_roots(f.read_text(encoding="utf-8"))
                      if root not in ALLOWED)
     assert not outside, outside
+
+
+def test_importing_the_png_module_loads_only_what_it_imports():
+    code = ("import json, sys, cellgrade.png; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'cellgrade')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert json.loads(run.stdout) == ["cellgrade", "cellgrade.errors", "cellgrade.png"]
