@@ -42,13 +42,6 @@ def parse_k_list(text: str) -> list[int]:
     return values
 
 
-def _parse_rates(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"dropout list {text!r} is not comma-separated numbers") from None
-
-
 class _Parser(argparse.ArgumentParser):
     """Bad arguments end like any other configuration error: one line, exit 2."""
 
@@ -80,15 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--val-frac", type=float, default=0.2)
-    p.add_argument("--dropout", default=None, help="comma-separated dropout rates")
-    p.add_argument("--checkpoint", default=None, help="checkpoint path (default PREFIX.ckpt)")
-    p.add_argument("--out", required=True, help="output prefix (writes PREFIX.csv)")
+    p.add_argument("--out", required=True, help="output prefix (writes PREFIX.csv, PREFIX.ckpt)")
 
     p = sub.add_parser("cnn-eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--reduced", action="store_true")
-    p.add_argument("--dropout", default=None)
     p.add_argument("--out", required=True, help="output JSON path")
 
     p = sub.add_parser("synth", help="generate a synthetic cell-image dataset")
@@ -102,8 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> None:
     if args.command == "knn":
-        metric = (DistanceMetric("minkowski", args.p) if args.metric == "minkowski"
-                  else DistanceMetric(args.metric))
+        metric = DistanceMetric(args.metric, args.p)  # rejects --p on any metric but minkowski
         summary = cmd_knn(args.data, features=args.features, metric=metric,
                           k_values=parse_k_list(args.k), folds=args.folds,
                           seed=args.seed, bins=args.bins, out_prefix=args.out)
@@ -113,8 +102,6 @@ def _run(args) -> None:
         print(f"best k: {summary['best_k']} (mean accuracy {summary['best_mean_accuracy']:.4f})")
         print(f"wrote {args.out}.csv and {args.out}.json")
     elif args.command == "cnn-train":
-        rates = _parse_rates(args.dropout) if args.dropout is not None else None
-
         def show(rec):
             print(f"epoch {rec['epoch']:3d}  train_loss={rec['train_loss']:.4f}  "
                   f"train_acc={rec['train_acc']:.4f}  val_loss={rec['val_loss']:.4f}  "
@@ -122,14 +109,10 @@ def _run(args) -> None:
 
         summary = cmd_cnn_train(args.data, reduced=args.reduced, epochs=args.epochs,
                                 batch_size=args.batch, lr=args.lr, seed=args.seed,
-                                val_frac=args.val_frac, dropout_rates=rates,
-                                checkpoint_path=args.checkpoint, out_prefix=args.out,
-                                progress=show)
+                                val_frac=args.val_frac, out_prefix=args.out, progress=show)
         print(f"wrote {args.out}.csv and checkpoint {summary['checkpoint']}")
     elif args.command == "cnn-eval":
-        rates = _parse_rates(args.dropout) if args.dropout is not None else None
-        report = cmd_cnn_eval(args.checkpoint, args.data, out_path=args.out,
-                              reduced=args.reduced, dropout_rates=rates)
+        report = cmd_cnn_eval(args.checkpoint, args.data, out_path=args.out, reduced=args.reduced)
         print(f"accuracy={report['accuracy']:.4f} over {report['n_samples']} samples")
         print(f"confusion (rows true 0/1, cols predicted 0/1): {report['confusion']}")
         print(f"wrote {args.out}")

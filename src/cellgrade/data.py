@@ -27,6 +27,7 @@ from .imaging import hsv_to_rgb
 from .prng import SeededPrng
 
 GENERATOR_VERSION = 1
+_MAX_IMAGES = 2**20  # 38x the 27,558-image NIH corpus; the cap on --k values too
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,8 @@ def synth_generate(out_dir, n: int, parasitized_fraction: float = 0.5,
     Byte-reproducible: the same (seed, n, fraction, side) always produces
     identical files. Returns the manifest dict. Refuses a tree holding other PNGs.
     """
-    if n < 2:
-        raise ConfigError(f"need n >= 2 images, got {n}")
+    if not 2 <= n <= _MAX_IMAGES:  # the names are listed before any file is written
+        raise ConfigError(f"n must be 2 to {_MAX_IMAGES} images, got {n}")
     if not 0.0 < parasitized_fraction < 1.0:
         raise ConfigError(f"parasitized_fraction must be in (0, 1), got {parasitized_fraction}")
     max_side = math.isqrt(png.MAX_PIXELS)  # the largest square the decoder accepts

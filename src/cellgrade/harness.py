@@ -7,8 +7,8 @@ self-describing: CSV files carry ``# cellgrade-version: ...`` and
 ``# config: <canonical json>`` comment lines before the mandatory header
 row; JSON files embed the same under "version" and "config". Output paths
 are not part of the config, so re-running a command with the same inputs
-and seed reproduces the payload byte-for-byte. All files are written
-atomically (temp file + rename) with "\\n" newlines.
+and seed reproduces the payload byte-for-byte. CSV, JSON and checkpoint
+files are written atomically (temp file + rename), text with "\\n" newlines.
 
 Checkpoint format (version 1, all little-endian)
 ------------------------------------------------
@@ -318,25 +318,14 @@ def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceM
     return summary
 
 
-def build_network(reduced: bool, dropout_rates=None) -> NetworkSpec:
-    builder = reduced_network if reduced else reference_network
-    if not dropout_rates:
-        return builder()
-    expected = sum(lay.kind == "dropout" for lay in builder().layers)
-    if len(dropout_rates) != expected:
-        raise ConfigError(f"{builder.__name__} takes {expected} dropout rates, got {len(dropout_rates)}")
-    return builder(tuple(dropout_rates))
-
-
 def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size: int = 32,
                   lr: float = 1e-3, seed: int = 0, val_frac: float = 0.2,
-                  dropout_rates=None, checkpoint_path=None, out_prefix=None,
-                  progress=None) -> dict:
-    """Train the CNN from scratch; writes per-epoch curve CSV and a checkpoint.
+                  out_prefix=None, progress=None) -> dict:
+    """Train the CNN from scratch; writes PREFIX.csv (per-epoch curve) and PREFIX.ckpt.
 
     The CSV's train/val metrics are eval-mode passes over each split at the
     end of the epoch, so a later cmd_cnn_eval over the same split reproduces
-    them exactly. A checkpoint is rewritten after every epoch.
+    them exactly. The checkpoint is rewritten after every epoch.
     """
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
@@ -344,7 +333,7 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
         lr32 = np.float32(lr)  # the parameters' dtype, in which Adam applies lr
     if not (np.isfinite(lr32) and lr32 > 0):
         raise ConfigError(f"lr must be a finite float32 number > 0, got {lr}")
-    net = build_network(reduced, dropout_rates)
+    net = reduced_network() if reduced else reference_network()
     side = net.input_shape[0]
     dataset = load_dataset(data_dir)
     x, y, skipped = load_tensor_batch(dataset, side)
@@ -365,10 +354,9 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
         "input_side": side,
     }
     rows, curve = [], []
-    if checkpoint_path is None and out_prefix is not None:
-        checkpoint_path = f"{out_prefix}.ckpt"
-    if checkpoint_path is not None:
-        save_checkpoint(params, net, checkpoint_path)
+    ckpt = f"{out_prefix}.ckpt" if out_prefix is not None else None
+    if ckpt is not None:
+        save_checkpoint(params, net, ckpt)
     for epoch in range(epochs):
         train_epoch(net, params, x_train, y_train, batch_size, train_rng, lr=lr)
         train_loss, train_acc, _ = evaluate(net, params, x_train, y_train)
@@ -380,8 +368,8 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
             progress(record)
         rows.append((epoch, repr(float(train_loss)), repr(float(train_acc)),
                      repr(float(val_loss)), repr(float(val_acc))))
-        if checkpoint_path is not None:
-            save_checkpoint(params, net, checkpoint_path)
+        if ckpt is not None:
+            save_checkpoint(params, net, ckpt)
     if out_prefix is not None:
         _write_csv(f"{out_prefix}.csv", config, CNN_CSV_HEADER, rows,
                    {"skipped": len(skipped)})
@@ -390,22 +378,21 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
         "config": config,
         "curve": curve,
         "skipped": skipped,
-        "checkpoint": str(checkpoint_path) if checkpoint_path is not None else None,
+        "checkpoint": ckpt,
         "train_size": int(y_train.size),
         "val_size": int(y_val.size),
     }
 
 
-def cmd_cnn_eval(checkpoint_path, data_dir, out_path=None, reduced: bool = False,
-                 dropout_rates=None) -> dict:
+def cmd_cnn_eval(checkpoint, data_dir, out_path=None, reduced: bool = False) -> dict:
     """Eval-mode accuracy and confusion counts for a checkpoint over a dataset."""
-    net = build_network(reduced, dropout_rates)
-    params, digest = load_checkpoint(checkpoint_path, net)
+    net = reduced_network() if reduced else reference_network()
+    params, digest = load_checkpoint(checkpoint, net)
     dataset = load_dataset(data_dir)
     x, y, skipped = load_tensor_batch(dataset, net.input_shape[0])
     loss, acc, preds = evaluate(net, params, x, y)
     confusion = [[int(np.sum((y == t) & (preds == p))) for p in (0, 1)] for t in (0, 1)]
-    config = {"command": "cnn-eval", "checkpoint": str(checkpoint_path),
+    config = {"command": "cnn-eval", "checkpoint": str(checkpoint),
               "data": str(data_dir), "reduced": reduced}
     report = {
         "version": __version__,

@@ -220,8 +220,6 @@ def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
     k_values = [int(k) for k in k_values]
     if not k_values or min(k_values) < 1:
         raise ConfigError(f"k_values must be non-empty positive integers, got {k_values}")
-    if folds < 2:
-        raise ConfigError(f"folds must be >= 2, got {folds}")
     assignment = stratified_fold_indices(labels, folds, seed)
     fold_hash = fold_assignment_hash(assignment, folds, seed)
     per_fold = _fold_sorted_labels(features, labels, assignment, folds, metric, max(k_values))

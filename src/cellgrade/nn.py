@@ -297,10 +297,8 @@ def summarize(net: NetworkSpec) -> list[tuple[str, tuple[int, ...], int]]:
                     layer_param_counts(net)))
 
 
-def reference_network(dropout_rates: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.5),
-                      ) -> NetworkSpec:
+def reference_network() -> NetworkSpec:
     """The stock 64x64x3 architecture: 7,975,554 parameters (7,975,426 trainable)."""
-    r1, r2, r3, r4 = dropout_rates
     return NetworkSpec(
         input_shape=(64, 64, 3),
         layers=(
@@ -309,32 +307,31 @@ def reference_network(dropout_rates: tuple[float, float, float, float] = (0.25, 
             Relu(),
             Conv2D(128, (3, 3), (2, 2)),
             Relu(),
-            Dropout(r1),
+            Dropout(0.25),
             Conv2D(256, (3, 3), (1, 1)),
             Relu(),
             MaxPool((2, 2), (2, 2)),
             Conv2D(1024, (3, 3), (1, 1)),
             Relu(),
-            Dropout(r2),
+            Dropout(0.25),
             Conv2D(512, (3, 3), (1, 1)),
             Relu(),
-            Dropout(r3),
+            Dropout(0.25),
             Flatten(),
             Dense(256),
             Relu(),
-            Dropout(r4),
+            Dropout(0.5),
             Dense(2),
         ),
     )
 
 
-def reduced_network(dropout_rates: tuple[float, float] = (0.1, 0.25)) -> NetworkSpec:
+def reduced_network() -> NetworkSpec:
     """Desk-scale 32x32x3 preset, same layer types: 171,682 parameters, 224 non-trainable.
 
     Every convolution is batch-normalized with momentum 0.9 so the moving
     statistics settle within the short runs this preset is meant for.
     """
-    r1, r2 = dropout_rates
     mom = 0.9
     return NetworkSpec(
         input_shape=(32, 32, 3),
@@ -345,7 +342,7 @@ def reduced_network(dropout_rates: tuple[float, float] = (0.1, 0.25)) -> Network
             Conv2D(32, (3, 3), (2, 2)),
             BatchNorm(32, momentum=mom),
             Relu(),
-            Dropout(r1),
+            Dropout(0.1),
             Conv2D(64, (3, 3), (1, 1)),
             BatchNorm(64, momentum=mom),
             Relu(),
@@ -353,7 +350,7 @@ def reduced_network(dropout_rates: tuple[float, float] = (0.1, 0.25)) -> Network
             Flatten(),
             Dense(64),
             Relu(),
-            Dropout(r2),
+            Dropout(0.25),
             Dense(2),
         ),
     )

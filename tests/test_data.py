@@ -184,6 +184,9 @@ def test_synth_parameter_validation(tmp_path):
         synth_generate(tmp_path, 10, 0.0)
     with pytest.raises(ConfigError):
         synth_generate(tmp_path, 10, 0.5, side=4)
+    with pytest.raises(ConfigError, match="n must be 2 to 1048576 images"):
+        synth_generate(tmp_path, 10**12, 0.5)  # refused before its names are listed
+    assert not any(tmp_path.iterdir())
 
 
 def tree_bytes(root):

@@ -38,6 +38,12 @@ def refix_checksum(data: bytes) -> bytes:
 
 # -- checkpoints ----------------------------------------------------------------
 
+def test_preset_spec_digests_are_pinned():
+    # an edit to either preset changes its checkpoints' digest and so fails here
+    assert spec_digest(nn.reference_network()) == 0x1e7332dae21866f2
+    assert spec_digest(nn.reduced_network()) == 0x363b09a3aa4dae2
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path, net_and_params):
     net, params = net_and_params
     path = tmp_path / "model.ckpt"
@@ -278,9 +284,6 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     for args in (["knn", "--k", "50", "--folds", "2"],
                  ["knn", "--k", "1-x"],  # span bound is not an integer
                  ["knn", "--k", "1,10-5"],  # a reversed span, not k=1 alone
-                 ["cnn-train", "--reduced", "--dropout", "0.1"],  # preset takes two rates
-                 ["cnn-train", "--dropout", "0.1,abc"],
-                 ["cnn-train", "--reduced", "--dropout="],  # empty list, not the preset
                  ["knn", "--bins", "0"],
                  ["knn", "--bins", "17"],  # 17**3 dims per image, past the 16**3 cap
                  ["knn", "--bins", "1000"],  # would ask for 8 GB per image
@@ -293,6 +296,8 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                  ["cnn-train", "--reduced", "--lr", "1e39"],  # finite, but inf in float32
                  ["knn", "--metric", "minkowski", "--p", "nan"],
                  ["knn", "--metric", "minkowski", "--p", "inf"],
+                 ["knn", "--metric", "euclidean", "--p", "3"],  # not dropped silently
+                 ["synth", "--n", "1048577"],  # past the 2**20 cap, before any name is listed
                  # over the decoder's 4096x4096 limit; 100000 would not fit in memory
                  ["synth", "--n", "2", "--side", "4097"],
                  ["synth", "--n", "2", "--side", "5000"],
@@ -300,7 +305,11 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                  # malformed arguments, rejected by the parser itself
                  ["knn", "--folds", "abc"],
                  ["knn", "--metric", "cosine"],
-                 ["synth", "--n", "abc"]):
+                 ["synth", "--n", "abc"],
+                 # each preset is one network: no rates or checkpoint path to set
+                 ["cnn-train", "--dropout", "0.1"],
+                 ["cnn-train", "--checkpoint", str(tmp_path / "x.ckpt")],
+                 ["cnn-eval", "--checkpoint", str(tmp_path / "x.ckpt"), "--dropout", "0.1"]):
         data = [] if args[0] == "synth" else ["--data", str(out)]
         code = main([*args, *data, "--out", str(tmp_path / "x")])
         assert code == 2, args
@@ -314,6 +323,8 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "left over" in err and err.count("\n") == 1
     assert sorted(p.name for p in out.rglob("*")) == before
+    assert main(["cnn-train", "--dropout", "0.1", "--data", str(out), "--out", str(tmp_path / "x")]) == 2
+    assert "unrecognized arguments: --dropout 0.1" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:  # asking for help is not an error
         main(["knn", "--help"])
     assert exc.value.code == 0
