@@ -17,7 +17,7 @@ with tempfile.TemporaryDirectory(prefix="cellgrade_demo_") as tmp:
 
     for name in ("Parasitized/cell_00000.png", "Uninfected/cell_00000.png"):
         img = imaging.decode_image((root / name).read_bytes())
-        print(f"\n{name}: {img.width}x{img.height}, values in [{img.values.min():.3f}, {img.values.max():.3f}]")
+        print(f"\n{name}: {img.values.shape[1]}x{img.values.shape[0]}, values in [{img.values.min():.3f}, {img.values.max():.3f}]")
 
         raw = imaging.extract_raw_features(img)
         print(f"  raw_pixel features: {raw.size} dims "

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .data import MAX_IMAGES
 from .errors import ConfigError, DataError, IntegrityError, ShapeError
 from .harness import cmd_cnn_eval, cmd_cnn_train, cmd_knn, cmd_synth
 from .knn import DistanceMetric
-
-_MAX_K_VALUES = 2**20
 
 
 def parse_k_list(text: str) -> list[int]:
@@ -32,8 +31,8 @@ def parse_k_list(text: str) -> list[int]:
                     raise ConfigError(f"k list {text!r} has a reversed span {part!r}")
             else:
                 lo = hi = int(part)
-            if len(values) + hi - lo + 1 > _MAX_K_VALUES:
-                raise ConfigError(f"k list {text!r} has more than {_MAX_K_VALUES} values")
+            if len(values) + hi - lo + 1 > MAX_IMAGES:
+                raise ConfigError(f"k list {text!r} has more than {MAX_IMAGES} values")
             values.extend(range(lo, hi + 1))
     except ValueError:
         raise ConfigError(f"k list {text!r} must be integers or 'a-b' spans") from None

@@ -9,10 +9,13 @@ The synthetic generator writes the same layout at desk scale: pink elliptical
 cells on a dark background, with small purple inclusions inside parasitized
 cells. The class signal lives mostly in color, so histogram features beat raw
 pixels on it just as they do on the real corpus.
+
+Within the package it imports only ``errors``, ``png`` and ``prng``.
 """
 
 from __future__ import annotations
 
+import colorsys
 import hashlib
 import json
 import math
@@ -23,11 +26,10 @@ import numpy as np
 
 from . import png
 from .errors import ConfigError, DataError
-from .imaging import hsv_to_rgb
 from .prng import SeededPrng
 
 GENERATOR_VERSION = 1
-_MAX_IMAGES = 2**20  # 38x the 27,558-image NIH corpus; the cap on --k values too
+MAX_IMAGES = 2**20  # 38x the 27,558-image NIH corpus; cli caps --k values with it too
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,14 @@ def load_dataset(root) -> tuple[DatasetItem, ...]:
     return tuple(sorted(items, key=lambda it: it.sample_id))
 
 
+def _shuffled_classes(labels: np.ndarray, seed: int):
+    """Yield (class, its indices under one seeded permutation), classes ascending."""
+    rng = SeededPrng(seed)
+    for cls in np.unique(labels):
+        members = np.flatnonzero(labels == cls)
+        yield cls, members[rng.permutation(members.size)]
+
+
 def stratified_fold_indices(labels, folds: int, seed: int) -> np.ndarray:
     """Per-class seeded shuffle, then round-robin fold assignment.
 
@@ -67,15 +77,12 @@ def stratified_fold_indices(labels, folds: int, seed: int) -> np.ndarray:
     if folds < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
     assignment = np.empty(labels.shape[0], dtype=np.int64)
-    rng = SeededPrng(seed)
-    for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
-        if members.size < folds:
+    for cls, shuffled in _shuffled_classes(labels, seed):
+        if shuffled.size < folds:
             raise ConfigError(
-                f"class {int(cls)} has {members.size} samples, fewer than folds={folds}"
+                f"class {int(cls)} has {shuffled.size} samples, fewer than folds={folds}"
             )
-        shuffled = members[rng.permutation(members.size)]
-        assignment[shuffled] = np.arange(members.size) % folds
+        assignment[shuffled] = np.arange(shuffled.size) % folds
     return assignment
 
 
@@ -90,13 +97,9 @@ def train_val_split_indices(labels, val_fraction: float, seed: int):
     """Stratified index split; returns (train_idx, val_idx), each sorted."""
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
-    labels = np.asarray(labels)
-    rng = SeededPrng(seed)
     val_parts, train_parts = [], []
-    for cls in np.unique(labels):
-        members = np.flatnonzero(labels == cls)
-        shuffled = members[rng.permutation(members.size)]
-        n_val = int(np.floor(members.size * val_fraction + 0.5))
+    for _, shuffled in _shuffled_classes(np.asarray(labels), seed):
+        n_val = int(np.floor(shuffled.size * val_fraction + 0.5))
         val_parts.append(shuffled[:n_val])
         train_parts.append(shuffled[n_val:])
     train_idx = np.sort(np.concatenate(train_parts))
@@ -150,37 +153,35 @@ def _ellipse_rho(xx, yy, cx, cy, a, b, theta):
     return (xr / a) ** 2 + (yr / b) ** 2
 
 
-def _hsv_color(rng: SeededPrng, p: dict, prefix: str) -> np.ndarray:
-    def span(key):
-        lo, hi = p[f"{prefix}_{key}"]
-        return lo + rng.uniform() * (hi - lo)
+def _span(rng: SeededPrng, key: str) -> float:
+    """One uniform draw from SYNTH_PARAMS[key]'s [lo, hi) range."""
+    lo, hi = SYNTH_PARAMS[key]
+    return lo + rng.uniform() * (hi - lo)
 
-    hsv = np.array([[[span("hue") % 1.0, span("sat"), span("val")]]])
-    return hsv_to_rgb(hsv).values[0, 0]
+
+def _hsv_color(rng: SeededPrng, prefix: str) -> np.ndarray:
+    h, s, v = (_span(rng, f"{prefix}_{key}") for key in ("hue", "sat", "val"))
+    return np.array(colorsys.hsv_to_rgb(h % 1.0, s, v))
 
 
 def _draw_cell(rng: SeededPrng, side: int, parasitized: bool) -> np.ndarray:
     p = SYNTH_PARAMS
     u = rng.uniform
 
-    def span(key):
-        lo, hi = p[key]
-        return lo + u() * (hi - lo)
-
     yy, xx = np.mgrid[0:side, 0:side].astype(np.float64) / side
     img = np.empty((side, side, 3), dtype=np.float64)
-    img[:] = span("background_value")
+    img[:] = _span(rng, "background_value")
 
     cx = 0.5 + (u() - 0.5) * 2 * p["cell_center_jitter"]
     cy = 0.5 + (u() - 0.5) * 2 * p["cell_center_jitter"]
-    a = span("cell_radius")
-    b = a * span("cell_aspect")
+    a = _span(rng, "cell_radius")
+    b = a * _span(rng, "cell_aspect")
     theta = u() * np.pi
     ct, st = np.cos(theta), np.sin(theta)
     rho = _ellipse_rho(xx, yy, cx, cy, a, b, theta)
     cell_mask = rho <= 1.0
     shade = 1.0 - p["cell_shading"] * rho
-    img[cell_mask] = _hsv_color(rng, p, "cell") * shade[cell_mask, None]
+    img[cell_mask] = _hsv_color(rng, "cell") * shade[cell_mask, None]
 
     def inside_cell_point(max_frac: float):
         r_frac = max_frac * np.sqrt(u())
@@ -194,17 +195,17 @@ def _draw_cell(rng: SeededPrng, side: int, parasitized: bool) -> np.ndarray:
         count = p["artifact_count"][0] + rng.below(p["artifact_count"][1] - p["artifact_count"][0] + 1)
         for _ in range(count):
             sx, sy = inside_cell_point(0.65)
-            streak = _ellipse_rho(xx, yy, sx, sy, span("artifact_len"),
-                                  span("artifact_width"), u() * np.pi) <= 1.0
-            img[streak & cell_mask] = _hsv_color(rng, p, "artifact")
+            streak = _ellipse_rho(xx, yy, sx, sy, _span(rng, "artifact_len"),
+                                  _span(rng, "artifact_width"), u() * np.pi) <= 1.0
+            img[streak & cell_mask] = _hsv_color(rng, "artifact")
 
     if parasitized:
         count = p["parasite_count"][0] + rng.below(p["parasite_count"][1] - p["parasite_count"][0] + 1)
         for _ in range(count):
             px, py = inside_cell_point(0.75)
-            pr = span("parasite_radius")
+            pr = _span(rng, "parasite_radius")
             blob = (xx - px) ** 2 + (yy - py) ** 2 <= pr**2
-            img[blob & cell_mask] = _hsv_color(rng, p, "parasite")
+            img[blob & cell_mask] = _hsv_color(rng, "parasite")
 
     lum = (u((side, side, 1)) - 0.5) * 2 * p["luminance_noise"]
     chroma = (u((side, side, 3)) - 0.5) * 2 * p["chroma_noise"]
@@ -218,8 +219,8 @@ def synth_generate(out_dir, n: int, parasitized_fraction: float = 0.5,
     Byte-reproducible: the same (seed, n, fraction, side) always produces
     identical files. Returns the manifest dict. Refuses a tree holding other PNGs.
     """
-    if not 2 <= n <= _MAX_IMAGES:  # the names are listed before any file is written
-        raise ConfigError(f"n must be 2 to {_MAX_IMAGES} images, got {n}")
+    if not 2 <= n <= MAX_IMAGES:  # the names are listed before any file is written
+        raise ConfigError(f"n must be 2 to {MAX_IMAGES} images, got {n}")
     if not 0.0 < parasitized_fraction < 1.0:
         raise ConfigError(f"parasitized_fraction must be in (0, 1), got {parasitized_fraction}")
     max_side = math.isqrt(png.MAX_PIXELS)  # the largest square the decoder accepts

@@ -1,8 +1,8 @@
 """Cell-image decoding and the two feature representations.
 
-Images are decoded to a PixelImage of RGB floats in [0, 1]; resizing and
-hsv_to_rgb return PixelImages too. Everything else returns a plain float64
-array: rgb_to_hsv an (h, w, 3) array of (h, s, v), and the kNN features a
+Images are decoded to a PixelImage of RGB floats in [0, 1], and resizing
+returns one too. Everything else returns a plain float64 array:
+rgb_to_hsv an (h, w, 3) array of (h, s, v), and the kNN features a
 1-D vector, either the flattened 32x32 raw pixels (3072 dims) or an
 L1-normalized 3D HSV color histogram (bins^3 dims, default 8^3 = 512). The
 CNN pipeline consumes a bilinearly resized (side, side, 3) array.
@@ -35,14 +35,6 @@ class PixelImage:
         if v.size and (v.min() < 0.0 or v.max() > 1.0):
             raise ValueError("PixelImage values must lie in [0, 1]")
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 def decode_image(data: bytes) -> PixelImage:
     """Decode PNG bytes (8-bit RGB or RGBA; alpha discarded) to a PixelImage."""
@@ -69,10 +61,10 @@ def resize_bilinear(img: PixelImage, out_w: int, out_h: int) -> PixelImage:
     same bytes."""
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output size must be >= 1, got {out_w}x{out_h}")
-    x0, x1, wx = _axis_coords(img.width, out_w)
-    y0, y1, wy = _axis_coords(img.height, out_h)
     v = img.values
-    if 2 * out_h < img.height:
+    x0, x1, wx = _axis_coords(v.shape[1], out_w)
+    y0, y1, wy = _axis_coords(v.shape[0], out_h)
+    if 2 * out_h < v.shape[0]:
         top, bot = (v[y[:, None], x0] * (1 - wx)[:, None] + v[y[:, None], x1] * wx[:, None] for y in (y0, y1))
     else:
         h = v[:, x0] * (1 - wx)[:, None] + v[:, x1] * wx[:, None]
@@ -96,21 +88,6 @@ def rgb_to_hsv(img: PixelImage) -> np.ndarray:
     ) / 6.0
     h = np.where(h >= 1.0, 0.0, h)  # guard the mod-6 rounding edge
     return np.stack([h, s, v], axis=-1)
-
-
-def hsv_to_rgb(hsv: np.ndarray) -> PixelImage:
-    """Standard inverse of rgb_to_hsv."""
-    h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
-    h6 = h * 6.0
-    sector = np.floor(h6).astype(np.intp) % 6
-    f = h6 - np.floor(h6)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    r = np.choose(sector, [v, q, p, p, t, v])
-    g = np.choose(sector, [t, v, v, q, p, p])
-    b = np.choose(sector, [p, p, t, v, v, q])
-    return PixelImage(np.clip(np.stack([r, g, b], axis=-1), 0.0, 1.0))
 
 
 def extract_raw_features(img: PixelImage) -> np.ndarray:

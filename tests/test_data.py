@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import zlib
@@ -193,6 +194,17 @@ def tree_bytes(root):
     return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def test_synth_bytes_are_pinned(tmp_path):
+    """A changed drawing or colour rule changes generator output, so it must
+    come with a new GENERATOR_VERSION and a new digest here."""
+    synth_generate(tmp_path, 12, 0.5, side=32, seed=7)
+    h = hashlib.sha256()
+    for p, body in tree_bytes(tmp_path).items():
+        h.update(p.relative_to(tmp_path).as_posix().encode() + body)
+    assert data.GENERATOR_VERSION == 1
+    assert h.hexdigest() == "5ab740e5f0a6f3841ff7768ca251a501aef2277128da469cabf23d30abd46e64"
+
+
 def test_synth_refuses_a_tree_holding_other_pngs(tmp_path):
     synth_generate(tmp_path, 20, 0.5, side=16, seed=1)
     first = tree_bytes(tmp_path)
@@ -228,4 +240,4 @@ def test_synth_classes_differ_in_parasite_color_mass(small_synth):
 def test_synth_images_decode_to_declared_side(small_synth):
     ds = load_dataset(small_synth)
     img = imaging.decode_image(ds[0].source.read_bytes())
-    assert img.width == 48 and img.height == 48
+    assert img.values.shape == (48, 48, 3)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cellgrade import png
+from cellgrade import data, imaging, png
 from cellgrade.errors import DecodeError, UnsupportedFormatError
 
 SIG = b"\x89PNG\r\n\x1a\n"
@@ -203,6 +203,39 @@ def test_decode_per_row_mixed_filters(case):
     color_type = 6 if pixels.shape[2] == 4 else 2
     decoded = png.decode_rgb8(encode_with_filter(pixels, ftypes, color_type))
     np.testing.assert_array_equal(decoded, pixels[:, :, :3])
+
+
+def least_residual_filters(pixels: np.ndarray) -> list[int]:
+    """libpng's heuristic: per row, the filter type whose residual bytes, read
+    as signed, have the least sum of absolute values."""
+    h, w, bpp = pixels.shape
+    ftypes, prev = [], np.zeros(w * bpp, dtype=np.int32)
+    for line in pixels.reshape(h, w * bpp).astype(np.int32):
+        left = np.concatenate([np.zeros(bpp, np.int32), line[:-bpp]])
+        upleft = np.concatenate([np.zeros(bpp, np.int32), prev[:-bpp]])
+        p = left + prev - upleft
+        pa, pb, pc = abs(p - left), abs(p - prev), abs(p - upleft)
+        pred = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, prev, upleft))
+        res = np.stack([line, line - left, line - prev, line - (left + prev) // 2, line - pred]) % 256
+        ftypes.append(int(np.minimum(res, 256 - res).sum(axis=1).argmin()))
+        prev = line
+    return ftypes
+
+
+def test_decode_synth_cells_under_least_residual_filters(tmp_path):
+    """Smooth cell images, as in the NIH corpus: the chooser picks long runs of
+    Paeth and Average rows, which the random per-row mix above rarely draws."""
+    data.synth_generate(tmp_path, 10, 0.5, side=64, seed=3)
+    ftypes = []
+    for i, path in enumerate(sorted(tmp_path.rglob("*.png"))):
+        side = 100 + 5 * i
+        cell = imaging.resize_bilinear(imaging.decode_image(path.read_bytes()), side, side)
+        pixels = np.round(cell.values * 255.0).astype(np.uint8)
+        rows = least_residual_filters(pixels)
+        ftypes += rows
+        np.testing.assert_array_equal(png.decode_rgb8(encode_with_filter(pixels, rows)), pixels)
+    counts = np.bincount(ftypes, minlength=5)
+    assert counts[3] + counts[4] > 0.9 * counts.sum(), counts
 
 
 def decode_peak_over_output(rows: np.ndarray, width: int) -> float:

@@ -38,10 +38,12 @@ def test_package_imports_only_numpy_and_the_standard_library():
 
 
 def test_importing_the_png_module_loads_only_what_it_imports():
-    code = ("import json, sys, cellgrade.png; "
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'cellgrade')))")
+    """The same holds for cellgrade.data: synth colours come from colorsys, not imaging."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True, timeout=60)
-    assert json.loads(run.stdout) == ["cellgrade", "cellgrade.errors", "cellgrade.png"]
+    for module, loaded in (("png", ["errors", "png"]), ("data", ["data", "errors", "png", "prng"])):
+        code = (f"import json, sys, cellgrade.{module}; "
+                "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'cellgrade')))")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True, timeout=60)
+        assert json.loads(run.stdout) == ["cellgrade"] + [f"cellgrade.{m}" for m in loaded], module
