@@ -27,9 +27,15 @@ Checkpoint format (version 1, all little-endian)
 
 The tensors are the weights and batch-norm moving statistics, the Adam
 moments as "<name>.m"/"<name>.v" and the step counter as a rank-0 tensor
-"step". No PRNG state is stored and nothing resumes training from a
+"step". Each is named "layer<i, two digits>/<kind>/<key>". The order is
+fixed by the network: layer by layer, each layer's tensors by sorted key,
+then "<key>.m" and "<key>.v" for each trainable key in sorted order; "step"
+comes last. No PRNG state is stored and nothing resumes training from a
 checkpoint. Loading verifies magic, version, checksum, and spec digest, in
-that order, and fails with a distinct message for each.
+that order, and fails with a distinct message for each. It then reads the
+file against the network's own layout: the tensor count, and every entry's
+name, rank and dims, must be exactly the expected ones, so no size is taken
+from the file.
 """
 
 from __future__ import annotations
@@ -149,54 +155,39 @@ def spec_digest(net: NetworkSpec) -> int:
     return int.from_bytes(raw[:8], "little")
 
 
-def _tensor_entries(params: ParamState, net: NetworkSpec):
-    entries = []
-    for i, lay in enumerate(net.layers):
+def _layout(net: NetworkSpec):
+    """(name, store, layer index, key, shape) of every tensor but "step", in file order."""
+    for i, (lay, shapes) in enumerate(zip(net.layers, param_shapes(net))):
         base = f"layer{i:02d}/{lay.kind}"
-        for key in sorted(params.layers[i]):
-            entries.append((f"{base}/{key}", params.layers[i][key]))
-        for key in sorted(params.adam_m[i]):
-            entries.append((f"{base}/{key}.m", params.adam_m[i][key]))
-            entries.append((f"{base}/{key}.v", params.adam_v[i][key]))
-    entries.append(("step", np.array(float(params.step), dtype=np.float32)))
-    return entries
+        for key in sorted(shapes):
+            yield f"{base}/{key}", "layers", i, key, shapes[key]
+        for key in sorted(lay.trainable):
+            yield f"{base}/{key}.m", "adam_m", i, key, shapes[key]
+            yield f"{base}/{key}.v", "adam_v", i, key, shapes[key]
+
+
+def _entry_header(name: str, shape) -> bytes:
+    """A tensor entry's name length, name, rank and dims."""
+    raw = name.encode("utf-8")
+    return struct.pack(f"<I{len(raw)}sI{len(shape)}Q", len(raw), raw, len(shape), *shape)
 
 
 def save_checkpoint(params: ParamState, net: NetworkSpec, path) -> None:
     """Serialize weights, Adam moments, and step; bit-exact round trip."""
-    out = bytearray()
-    out += CHECKPOINT_MAGIC
-    out += struct.pack("<I", CHECKPOINT_VERSION)
-    out += struct.pack("<Q", spec_digest(net))
-    entries = _tensor_entries(params, net)
-    out += struct.pack("<I", len(entries))
-    for name, tensor in entries:
-        name_bytes = name.encode("utf-8")
-        arr = np.asarray(tensor, dtype=np.float32)  # ascontiguousarray would promote rank 0 to rank 1
-        out += struct.pack("<I", len(name_bytes))
-        out += name_bytes
-        out += struct.pack("<I", arr.ndim)
-        out += struct.pack(f"<{arr.ndim}Q", *arr.shape)
-        out += arr.astype("<f4").tobytes()
+    layout = list(_layout(net))
+    out = bytearray(CHECKPOINT_MAGIC)
+    out += struct.pack("<IQI", CHECKPOINT_VERSION, spec_digest(net), len(layout) + 1)
+    for name, store, i, key, _ in layout:
+        arr = np.asarray(getattr(params, store)[i][key], dtype="<f4")
+        out += _entry_header(name, arr.shape)  # its own shape: a mismatch fails to load
+        out += arr.tobytes()
+    out += _entry_header("step", ()) + np.array(float(params.step), dtype="<f4").tobytes()
     out += struct.pack("<Q", int.from_bytes(hashlib.sha256(out).digest()[:8], "little"))
     _atomic_write(path, out)
 
 
-class _Reader:
-    def __init__(self, data: memoryview):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise IntegrityError(f"checkpoint truncated while reading {what} at offset {self.pos}")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-
-def read_checkpoint_tensors(path) -> tuple[dict[str, np.ndarray], int]:
-    """Raw (tensors, spec digest) with magic/version/checksum verification."""
+def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
+    """Rebuild a ParamState for `net`, reading the file against `net`'s own layout."""
     data = Path(path).read_bytes()
     if len(data) < 28:
         raise IntegrityError(f"checkpoint too small ({len(data)} bytes) to be valid")
@@ -210,61 +201,37 @@ def read_checkpoint_tensors(path) -> tuple[dict[str, np.ndarray], int]:
     actual = int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
     if stored != actual:
         raise IntegrityError(f"payload checksum mismatch: stored {stored:#x}, computed {actual:#x}")
-
-    r = _Reader(payload)
-    r.pos = 8
-    (digest,) = struct.unpack("<Q", r.take(8, "spec digest"))
-    (count,) = struct.unpack("<I", r.take(4, "tensor count"))
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", r.take(4, "name length"))
-        try:
-            name = str(r.take(name_len, "tensor name"), "utf-8")
-        except UnicodeDecodeError:
-            raise IntegrityError(f"tensor name at offset {r.pos - name_len} is not UTF-8") from None
-        if name in tensors:
-            raise IntegrityError(f"tensor {name!r} appears twice")
-        (rank,) = struct.unpack("<I", r.take(4, "rank"))
-        dims = struct.unpack(f"<{rank}Q", r.take(8 * rank, "dims"))
-        size = math.prod(dims)  # exact, where np.prod wraps at 2**64; 1 for rank 0
-        values = np.frombuffer(r.take(4 * size, f"values of {name!r}"), dtype="<f4")
-        tensors[name] = values.reshape(dims).astype(np.float32)  # a writable copy: Adam updates it
-    if r.pos != len(r.data):
-        raise IntegrityError(f"{len(r.data) - r.pos} trailing bytes after the last tensor")
-    return tensors, digest
-
-
-def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
-    """Rebuild a ParamState for `net`, verifying the stored spec digest."""
-    tensors, digest = read_checkpoint_tensors(path)
+    digest, count = struct.unpack_from("<QI", payload, 8)
     expected = spec_digest(net)
     if digest != expected:
         raise IntegrityError(
             f"spec digest mismatch: checkpoint has {digest:#x}, network is {expected:#x}"
         )
-    shapes = param_shapes(net)
-    layers, adam_m, adam_v = [], [], []
-    remaining = dict(tensors)
+    layout = list(_layout(net))
+    if count != len(layout) + 1:
+        raise IntegrityError(f"checkpoint has {count} tensors, expected {len(layout) + 1}")
+    pos = 20  # after magic, version, spec digest and tensor count
 
-    def claim(name: str, shape) -> np.ndarray:
-        if name not in remaining:
-            raise IntegrityError(f"checkpoint is missing tensor {name!r}")
-        arr = remaining.pop(name)
-        if arr.shape != tuple(shape):
-            raise IntegrityError(f"tensor {name!r} has shape {arr.shape}, expected {tuple(shape)}")
-        return arr
+    def take(name: str, shape) -> np.ndarray:
+        """The next entry's values, if it is `name` at `shape` and whole."""
+        nonlocal pos
+        header, size = _entry_header(name, shape), math.prod(shape)
+        start = pos + len(header)
+        if payload[pos:start] != header or start + 4 * size > len(payload):
+            raise IntegrityError(f"expected tensor {name!r} of shape {shape} at offset {pos}")
+        pos = start + 4 * size
+        # a writable copy: Adam updates it
+        return np.frombuffer(payload, "<f4", size, start).reshape(shape).astype(np.float32)
 
-    for i, lay in enumerate(net.layers):
-        base = f"layer{i:02d}/{lay.kind}"
-        layers.append({k: claim(f"{base}/{k}", s) for k, s in shapes[i].items()})
-        adam_m.append({k: claim(f"{base}/{k}.m", shapes[i][k]) for k in lay.trainable})
-        adam_v.append({k: claim(f"{base}/{k}.v", shapes[i][k]) for k in lay.trainable})
-    step = float(claim("step", ()))
+    stores = {store: [{} for _ in net.layers] for store in ("layers", "adam_m", "adam_v")}
+    for name, store, i, key, shape in layout:
+        stores[store][i][key] = take(name, shape)
+    step = float(take("step", ()))
     if not (step >= 0 and step.is_integer()):  # NaN and infinities fail too
         raise IntegrityError(f"step must be a non-negative integer, got {step}")
-    if remaining:
-        raise IntegrityError(f"checkpoint has unexpected tensors: {sorted(remaining)}")
-    return ParamState(layers, adam_m, adam_v, step=int(step)), digest
+    if pos != len(payload):
+        raise IntegrityError(f"{len(payload) - pos} trailing bytes after the last tensor")
+    return ParamState(**stores, step=int(step)), digest
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +320,7 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
         "dropout": [lay.rate for lay in net.layers if lay.kind == "dropout"],
         "input_side": side,
     }
-    rows, curve = [], []
+    curve = []
     ckpt = f"{out_prefix}.ckpt" if out_prefix is not None else None
     if ckpt is not None:
         save_checkpoint(params, net, ckpt)
@@ -366,13 +333,12 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
         curve.append(record)
         if progress is not None:
             progress(record)
-        rows.append((epoch, repr(float(train_loss)), repr(float(train_acc)),
-                     repr(float(val_loss)), repr(float(val_acc))))
         if ckpt is not None:
             save_checkpoint(params, net, ckpt)
     if out_prefix is not None:
-        _write_csv(f"{out_prefix}.csv", config, CNN_CSV_HEADER, rows,
-                   {"skipped": len(skipped)})
+        metrics = CNN_CSV_HEADER.split(",")[1:]
+        rows = [[rec["epoch"], *(repr(float(rec[k])) for k in metrics)] for rec in curve]
+        _write_csv(f"{out_prefix}.csv", config, CNN_CSV_HEADER, rows, {"skipped": len(skipped)})
     return {
         "version": __version__,
         "config": config,

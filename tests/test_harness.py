@@ -16,7 +16,6 @@ from cellgrade.data import load_dataset, train_val_split_indices
 from cellgrade.errors import ConfigError, IntegrityError
 from cellgrade.harness import (
     load_checkpoint,
-    read_checkpoint_tensors,
     save_checkpoint,
     spec_digest,
 )
@@ -42,6 +41,17 @@ def test_preset_spec_digests_are_pinned():
     # an edit to either preset changes its checkpoints' digest and so fails here
     assert spec_digest(nn.reference_network()) == 0x1e7332dae21866f2
     assert spec_digest(nn.reduced_network()) == 0x363b09a3aa4dae2
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # a reordered or renamed tensor layout changes these bytes and so fails here
+    net = nn.reduced_network()
+    path = tmp_path / "init.ckpt"
+    save_checkpoint(nn.init_params(net, 0), net, path)
+    data = path.read_bytes()
+    assert len(data) == 2_060_822
+    assert hashlib.sha256(data).hexdigest() == (
+        "4d442f7ed4ba8f6874a214557a344b515e4896f2b941cb673dc37b443ddf9322")
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, net_and_params):
@@ -97,7 +107,7 @@ def test_checkpoint_wrong_magic(tmp_path, net_and_params):
     data[:4] = b"XXXX"
     path.write_bytes(bytes(data))
     with pytest.raises(IntegrityError, match="magic"):
-        read_checkpoint_tensors(path)
+        load_checkpoint(path, net)
 
 
 def test_checkpoint_unsupported_version(tmp_path, net_and_params):
@@ -108,7 +118,7 @@ def test_checkpoint_unsupported_version(tmp_path, net_and_params):
     data[4:8] = struct.pack("<I", harness.CHECKPOINT_VERSION + 1)
     path.write_bytes(refix_checksum(bytes(data)))
     with pytest.raises(IntegrityError, match="version 2"):
-        read_checkpoint_tensors(path)
+        load_checkpoint(path, net)
 
 
 def test_checkpoint_flipped_payload_byte(tmp_path, net_and_params):
@@ -119,7 +129,7 @@ def test_checkpoint_flipped_payload_byte(tmp_path, net_and_params):
     data[len(data) // 2] ^= 0x01
     path.write_bytes(bytes(data))
     with pytest.raises(IntegrityError, match="checksum"):
-        read_checkpoint_tensors(path)
+        load_checkpoint(path, net)
 
 
 def test_checkpoint_digest_mismatch(tmp_path, net_and_params):
@@ -134,10 +144,13 @@ def test_checkpoint_digest_mismatch(tmp_path, net_and_params):
 
 def test_checkpoint_missing_tensor(tmp_path, net_and_params):
     net, params = net_and_params
-    del params.layers[0]["bias"]
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, net, path)
-    with pytest.raises(IntegrityError, match="missing tensor"):
+    # drop the step entry, the 16 bytes before the checksum, and count one tensor fewer
+    data = path.read_bytes()
+    (count,) = struct.unpack("<I", data[16:20])
+    path.write_bytes(refix_checksum(data[:16] + struct.pack("<I", count - 1) + data[20:-24] + data[-8:]))
+    with pytest.raises(IntegrityError, match=f"has {count - 1} tensors, expected {count}"):
         load_checkpoint(path, net)
 
 
@@ -373,14 +386,21 @@ def test_cli_exit_code_integrity_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 4 and "integrity error" in err and "step" in err, (step, err)
         assert len(err.strip().splitlines()) == 1, err
-    # Sealed but malformed: the last 24 bytes before the checksum are the step
+    # Sealed but malformed: the 16 bytes before the checksum are the step
     # tensor, laid out as name length, b"step", rank 0 and its float32 value.
     (count,) = struct.unpack("<I", good[16:20])
     step_entry = good[-24:-8]
+    # the first layer's bias.m and bias.v entries, equal in length, swapped
+    m_at = good.index(b"layer00/conv2d/bias.m") - 4
+    v_at = good.index(b"layer00/conv2d/bias.v") - 4
+    end = 2 * v_at - m_at
     for body, says in (
-        (good[:-16] + struct.pack("<I2Q", 2, 2**32, 2**32) + good[-12:], "truncated"),  # 2**64 values
-        (good[:-20] + b"st\xffp" + good[-16:], "not UTF-8"),
-        (good[:16] + struct.pack("<I", count + 1) + good[20:-8] + step_entry + good[-8:], "twice"),
+        (good[:-16] + struct.pack("<I2Q", 2, 2**32, 2**32) + good[-12:], "expected tensor 'step'"),  # 2**64 values
+        (good[:-20] + b"st\xffp" + good[-16:], "expected tensor 'step'"),
+        (good[:16] + struct.pack("<I", count + 1) + good[20:-8] + step_entry + good[-8:],
+         f"has {count + 1} tensors, expected {count}"),
+        (good[:m_at] + good[v_at:end] + good[m_at:v_at] + good[end:],
+         "expected tensor 'layer00/conv2d/bias.m'"),
     ):
         bad.write_bytes(refix_checksum(body))
         code = main(["cnn-eval", "--checkpoint", str(bad), "--data", str(out),
