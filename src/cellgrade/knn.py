@@ -79,16 +79,11 @@ class KnnModel:
     metric: DistanceMetric = EUCLIDEAN
 
     def __post_init__(self):
-        x = self.features
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ShapeError(f"features must be a non-empty N x D matrix, got shape {x.shape}")
-        if self.labels.shape != (x.shape[0],):
-            raise ShapeError(f"labels shape {self.labels.shape} does not match N={x.shape[0]}")
+        _check_training_set(self.features, self.labels)
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.k > x.shape[0]:
-            raise ConfigError(f"k={self.k} exceeds training-set size N={x.shape[0]}")
-        _check_binary(self.labels)
+        if self.k > self.features.shape[0]:
+            raise ConfigError(f"k={self.k} exceeds training-set size N={self.features.shape[0]}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,12 @@ class NeighborSet:
         return self.indices.size
 
 
-def _check_binary(labels: np.ndarray) -> None:
+def _check_training_set(x: np.ndarray, labels: np.ndarray) -> None:
+    """A non-empty N x D feature matrix with N labels, each 0 or 1."""
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ShapeError(f"features must be a non-empty N x D matrix, got shape {x.shape}")
+    if labels.shape != (x.shape[0],):
+        raise ShapeError(f"labels shape {labels.shape} does not match N={x.shape[0]}")
     bad = labels[~np.isin(labels, (0, 1))]
     if bad.size:
         raise ConfigError(f"labels must be 0 or 1, got {bad[0].item()!r}")
@@ -216,7 +216,7 @@ def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    _check_binary(labels)
+    _check_training_set(features, labels)
     k_values = [int(k) for k in k_values]
     if not k_values or min(k_values) < 1:
         raise ConfigError(f"k_values must be non-empty positive integers, got {k_values}")

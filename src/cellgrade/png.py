@@ -2,10 +2,10 @@
 
 Only what the cell-image corpus needs. Decoding checks chunk CRCs and
 reports the offending chunk and byte offset on failure, undoes any mix of
-the five scanline filters with array-wide numpy steps (no loop over rows),
-rejects images over MAX_PIXELS pixels and never inflates more than the
-header declares. Encoding always writes unfiltered (type 0) scanlines
-with a fixed zlib level, so a pixel array gives the same bytes everywhere.
+the five scanline filters in whole-array numpy steps (one per anti-diagonal
+once a row is Average or Paeth), rejects images over MAX_PIXELS pixels and
+never inflates past the declared size. Encoding writes type 0 scanlines
+at a fixed zlib level, so a pixel array gives the same bytes everywhere.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ def _parse_ihdr(body: bytes, pos: int) -> tuple[int, int, int]:
 def _unfilter(rows: np.ndarray, width: int, bpp: int) -> np.ndarray:
     """Undo per-scanline filters; returns (height, width, bpp) uint8.
 
-    Every filter byte is checked first. Images with any Average or Paeth row
-    are rebuilt by ``_unfilter_wavefront``; the others in whole-array steps:
-    Sub rows are a running sum along x, and a run of Up rows a running sum
-    down the columns from the None or Sub row above it (or from zero), all
-    mod 256 as the filters are.
+    Every filter byte is checked first. Paeth picks left in a one-row image
+    and up in a one-column one, so it is read there as Sub and as Up. Images
+    with an Average or Paeth row left go to ``_unfilter_wavefront``; in the
+    others, Sub rows are a running sum along x and a run of Up rows one down
+    the columns from the None or Sub row above it (or from 0), all mod 256.
     """
     ftypes = rows[:, 0]
     bad = np.flatnonzero(ftypes > 4)
@@ -141,6 +141,8 @@ def _unfilter(rows: np.ndarray, width: int, bpp: int) -> np.ndarray:
         raise DecodeError(f"scanline {y} uses unknown filter type {int(ftypes[y])}")
     height = rows.shape[0]
     data = rows[:, 1:].reshape(height, width, bpp)
+    if width == 1 or height == 1:
+        ftypes = np.where(ftypes == 4, 2 if width == 1 else 1, ftypes)
     if np.any(ftypes >= 3):
         return _unfilter_wavefront(data, ftypes)
     # sums[0] is the zero row above the image and sums[1:] the image
@@ -167,12 +169,14 @@ def _unfilter_wavefront(data: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
 
     Pixel (y, x) reads only its left, up and up-left neighbours, so each
     anti-diagonal y + x = d is one vectorized step over its rows and
-    channels, each row predicted by its own filter byte. In the skewed copy,
-    line d + 2 holds diagonal d contiguously: pixel (y, d - y) at slot y + 1,
-    the row above at slot 0, and zero in slots that hold no pixel. Left and
-    up are then line d + 1 at slots y + 1 and y, up-left is line d at slot y.
-    Tall images run in bands of max(2 * width, 64) rows: the skewed copy stays
-    within three times the band's bytes, or a fixed size.
+    channels. In the skewed copy, line d + 2 holds diagonal d contiguously:
+    pixel (y, d - y) at slot y + 1, the row above at slot 0, and zero in
+    slots that hold no pixel. Left and up are then line d + 1 at slots y + 1
+    and y, up-left is line d at slot y. None rows go in as Sub rows of their
+    differences along x. Sub, Up or Average rows alone add their prediction,
+    any other diagonal up-left plus ``_DELTAS`` at its key, offset by row
+    where types differ. Tall images run in bands of max(2 * width, 64) rows,
+    so the skewed copy stays within three times a band's bytes or a fixed size.
     """
     height, width, bpp = data.shape
     out = np.empty_like(data)
@@ -182,16 +186,15 @@ def _unfilter_wavefront(data: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
     pixels = np.lib.stride_tricks.as_strided(
         skew[2, 1:], shape=(band, width, bpp), strides=(s_line + s_slot, s_line, 1))
     lines = skew.reshape(len(skew), -1)
-    # a diagonal across several filter types fills stack[1:] with every
-    # prediction and takes value i's from stack[kind of i, i], flat index pick[i]
-    stack = np.zeros((5, band * bpp), dtype=np.uint8)
-    kind_rows = list(enumerate(stack))[1:]
     for r0 in range(0, height, band):
         kind_of = ftypes[r0 : r0 + band]
         n_rows = len(kind_of)
         pixels[:n_rows] = data[r0 : r0 + n_rows]
+        none = np.flatnonzero(kind_of == 0)
+        pixels[none, 1:] -= data[r0 + none, :-1]
+        kind_of = np.maximum(kind_of, 1)
         skew[1 : width + 1, 0] = out[r0 - 1] if r0 else 0
-        pick = kind_of.astype(np.intp).repeat(bpp) * stack.shape[1] + np.arange(n_rows * bpp)
+        block = (kind_of % 4).astype(np.intp).repeat(bpp) * 511**2
         kinds = kind_of.tolist()
         # rows y0..y1 - 1 share one filter type exactly when run[y0] == run[y1 - 1]
         run = np.cumsum(np.diff(kind_of, prepend=kind_of[:1]) != 0).tolist()
@@ -200,41 +203,36 @@ def _unfilter_wavefront(data: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
             y0, y1 = max(0, d - width + 1), min(n_rows, d + 1)
             lo, hi = y0 * bpp, y1 * bpp
             cur, left, up = line2[lo + bpp : hi + bpp], line1[lo + bpp : hi + bpp], line1[lo:hi]
-            if run[y0] != run[y1 - 1]:
-                for k, row in kind_rows:
-                    row[lo:hi] = _predict(k, left, up, line0[lo:hi])
-                cur += stack.take(pick[lo:hi])
-            elif kinds[y0]:
-                cur += _predict(kinds[y0], left, up, line0[lo:hi])
+            kind = kinds[y0] if run[y0] == run[y1 - 1] else 0  # 0: rows of several types
+            if kind == 3:  # (left + up) >> 1 without leaving uint8
+                cur += (left & up) + ((left ^ up) >> 1)
+            elif kind in (1, 2):
+                cur += left if kind == 1 else up
+            else:
+                upleft = line0[lo:hi]
+                key = np.multiply(left, 511, dtype=np.intp)
+                key += up
+                key -= np.multiply(upleft, 512, dtype=np.intp)
+                if not kind:
+                    key += block[lo:hi]
+                cur += upleft + _DELTAS.take(key)
         out[r0 : r0 + n_rows] = pixels[:n_rows]
     return out
 
 
-def _paeth_deltas() -> np.ndarray:
-    """Paeth's pick (ties prefer left, then up) minus up-left, mod 256, at flat
-    index (left - upleft) * 511 + (up - upleft), negative ones from the end."""
+def _deltas() -> np.ndarray:
+    """Each filter's prediction minus up-left, mod 256, from dl = left - upleft
+    and du = up - upleft alone: entry dl * 511 + du of type t's block at
+    t % 4 * 511**2 (Paeth's ties go left, then up; its negative keys wrap)."""
     diff = np.arange(-255, 256, dtype=np.int16)
-    du, dl = diff[:, None], diff[None, :]  # p - up and p - left
-    dc = np.abs(du + dl)  # p - upleft
-    pick = np.where(np.abs(dl) <= np.minimum(np.abs(du), dc), du, np.where(np.abs(du) <= dc, dl, 0))
-    return np.roll(pick.astype(np.uint8).reshape(-1), -(255 * 511 + 255))
+    dl, du = diff[:, None], diff[None, :]
+    pa, pb, pc = np.abs(du), np.abs(dl), np.abs(dl + du)  # p - left, p - up, p - upleft
+    paeth = np.where((pa <= pb) & (pa <= pc), dl, np.where(pb <= pc, du, 0))
+    blocks = np.stack(np.broadcast_arrays(paeth, dl, du, (dl + du) >> 1))
+    return np.roll(blocks.astype(np.uint8).reshape(-1), -(255 * 511 + 255))
 
 
-_PAETH_DELTAS = _paeth_deltas()
-
-
-def _predict(kind: int, left: np.ndarray, up: np.ndarray, upleft: np.ndarray) -> np.ndarray:
-    """Filter type 1-4's prediction on uint8 arrays, mod 256."""
-    if kind == 1:
-        return left
-    if kind == 2:
-        return up
-    if kind == 3:  # (left + up) >> 1 without leaving uint8
-        return (left & up) + ((left ^ up) >> 1)
-    key = np.multiply(left, 511, dtype=np.intp)
-    key += up
-    key -= np.multiply(upleft, 512, dtype=np.intp)
-    return upleft + _PAETH_DELTAS.take(key)
+_DELTAS = _deltas()
 
 
 def encode_rgb8(pixels: np.ndarray) -> bytes:

@@ -371,3 +371,13 @@ def test_non_binary_labels_rejected():
         KnnModel(x, np.array([0, 1, 2, 0, 1, 0]), k=1)
     with pytest.raises(ConfigError, match="labels must be 0 or 1, got -1"):
         k_sweep(x, np.array([0, 1, -1, 0, 1, 1]), [1], folds=2)
+
+
+@pytest.mark.parametrize("features,match", [
+    (np.zeros((25, 3)), r"labels shape \(20,\) does not match N=25"),
+    (np.zeros((15, 3)), r"labels shape \(20,\) does not match N=15"),
+    (np.zeros(20), r"non-empty N x D matrix, got shape \(20,\)"),
+], ids=["extra-rows", "missing-rows", "one-dimensional"])
+def test_k_sweep_needs_one_feature_row_per_label(features, match):
+    with pytest.raises(ShapeError, match=match):
+        k_sweep(features, np.array([0, 1] * 10), [1], folds=2)

@@ -238,6 +238,40 @@ def test_decode_synth_cells_under_least_residual_filters(tmp_path):
     assert counts[3] + counts[4] > 0.9 * counts.sum(), counts
 
 
+def test_delta_table_gives_every_filters_prediction():
+    """upleft + _DELTAS[t % 4 * 511**2 + dl * 511 + du], mod 256, is filter t's
+    prediction for every (left, up, upleft) byte triple, dl and du taken from upleft."""
+    byte = np.arange(256, dtype=np.int16)
+    left, up = byte[:, None], byte[None, :]
+    for upleft in range(256):
+        p = left + up - upleft
+        pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - upleft)
+        predictions = {
+            1: np.broadcast_to(left, p.shape),
+            2: np.broadcast_to(up, p.shape),
+            3: (left + up) // 2,
+            4: np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, upleft)),
+        }
+        key = (left - upleft).astype(np.intp) * 511 + (up - upleft)
+        for ftype, expected in predictions.items():
+            got = (upleft + png._DELTAS[ftype % 4 * 511**2 + key].astype(np.int16)) % 256
+            np.testing.assert_array_equal(got, expected, err_msg=f"filter {ftype} upleft {upleft}")
+
+
+@pytest.mark.parametrize("height,width,channels", [(1, 300, 3), (300, 1, 4), (1, 1, 3)])
+def test_thin_paeth_images_decode_without_the_wavefront(monkeypatch, height, width, channels):
+    """Paeth picks left on a lone row and up in a lone column, so neither needs
+    one step per anti-diagonal."""
+    def refuse(*args):
+        raise AssertionError("thin Paeth image sent to the wavefront")
+
+    monkeypatch.setattr(png, "_unfilter_wavefront", refuse)
+    rng = np.random.default_rng(8)
+    pixels = rng.integers(0, 256, size=(height, width, channels), dtype=np.uint8)
+    decoded = png.decode_rgb8(encode_with_filter(pixels, 4, color_type=6 if channels == 4 else 2))
+    np.testing.assert_array_equal(decoded, pixels[:, :, :3])
+
+
 def decode_peak_over_output(rows: np.ndarray, width: int) -> float:
     """tracemalloc peak of decoding these filtered rows, over the output's bytes."""
     data = png_file(width, rows.shape[0], rows.tobytes())
