@@ -13,18 +13,19 @@ C values. In eval mode batch norm is the fixed per-channel affine map x*s + t
 of its moving statistics.
 
 A network is a NetworkSpec (ordered layer descriptions); its weights live in
-a separate ParamState. Forward passes are pure: train-mode batch-norm
-returns its moving-statistic updates in the cache instead of mutating
-anything, and the training loop commits them; eval passes keep no cache. A
-ParamState belongs to one training loop at a time; evaluation against a
-snapshot of it is safe from any number of threads.
+a separate ParamState. Forward passes are pure: every layer returns (y,
+cache), a train-mode batch norm's cache holds its pending moving statistics
+beside what its backward reads, and the training loop commits them after
+the Adam step; eval passes keep no cache. A ParamState belongs to one
+training loop at a time; evaluation against a snapshot of it is safe from
+any number of threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -41,7 +42,7 @@ from .prng import SeededPrng
 # Each layer spec is also the record of its kind's rules: `trainable` names
 # its trainable tensors in gradient order; `out_shape` and `param_shapes` map
 # an input shape (batch dimension omitted) to the output and parameter shapes;
-# `forward(h, p, train, rng)` returns (y, cache[, batch-norm updates]),
+# `forward(h, p, train, rng)` returns (y, cache) in both modes,
 # `backward(g, cache)` returns (dx, *parameter gradients) and
 # `param_backward(g, cache)` the parameter gradients alone. Kernels are called
 # by module name at call time, so a replaced module attribute reaches every
@@ -127,12 +128,13 @@ class BatchNorm(_Layer):
 
     def forward(self, h, p, train, rng):
         args = (h, p["gamma"], p["beta"], p["moving_mean"], p["moving_var"], self.epsilon)
-        if train:
-            return batch_norm_forward_train(*args, self.momentum)
-        return batch_norm_forward_eval(*args), None
+        if not train:
+            return batch_norm_forward_eval(*args), None
+        y, cache, pending = batch_norm_forward_train(*args, self.momentum)
+        return y, (cache, pending)  # pending: the (new_mean, new_var) to commit
 
     def backward(self, g, cache):
-        return batch_norm_backward(g, cache)
+        return batch_norm_backward(g, cache[0])
 
 
 @dataclass(frozen=True)
@@ -662,21 +664,14 @@ def adam_step(params: ParamState, grads: list[dict[str, np.ndarray]],
 # Whole-network forward/backward and training
 # --------------------------------------------------------------------------
 
-@dataclass
-class ForwardCache:
-    """What backward needs from a train-mode pass: per-layer entries, pending BN updates."""
-
-    layers: list = field(default_factory=list)
-    bn_updates: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
-
-
 def network_forward(net: NetworkSpec, params: ParamState, batch: np.ndarray,
                     mode: str = "eval", rng: SeededPrng | None = None):
-    """Apply all layers in order; returns (logits, ForwardCache).
+    """Apply all layers in order; returns (logits, caches).
 
     mode "train" uses batch statistics and live dropout (drawing masks from
-    rng) and fills the cache; mode "eval" uses moving statistics and identity
-    dropout and keeps no cache, so no layer's intermediates outlive the next.
+    rng) and keeps each layer's cache, one list entry per layer; mode "eval"
+    uses moving statistics and identity dropout and keeps none (caches is
+    empty), so no layer's intermediates outlive the next.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -684,18 +679,17 @@ def network_forward(net: NetworkSpec, params: ParamState, batch: np.ndarray,
     if batch.shape[1:] != expected:
         raise ShapeError(f"batch shape {batch.shape[1:]} does not match input {expected}")
     h = batch.astype(params.dtype, copy=False)
-    cache = ForwardCache()
-    for i, (lay, p) in enumerate(zip(net.layers, params.layers)):
-        h, layer_cache, *bn_update = lay.forward(h, p, mode == "train", rng)
+    caches = []
+    for lay, p in zip(net.layers, params.layers):
+        h, cache = lay.forward(h, p, mode == "train", rng)
         if mode == "train":
-            cache.layers.append(layer_cache)
-            cache.bn_updates.extend((i, *upd) for upd in bn_update)
-    return h, cache
+            caches.append(cache)
+    return h, caches
 
 
-def network_backward(net: NetworkSpec, params: ParamState, cache: ForwardCache,
+def network_backward(net: NetworkSpec, params: ParamState, caches: list,
                      dlogits: np.ndarray) -> list[dict[str, np.ndarray]]:
-    """Backpropagate dlogits through a train-mode cache; returns per-layer grads.
+    """Backpropagate dlogits through train-mode caches; returns per-layer grads.
 
     Nothing reads the input gradient of layer 0, so that layer computes its
     parameter gradients alone.
@@ -703,19 +697,28 @@ def network_backward(net: NetworkSpec, params: ParamState, cache: ForwardCache,
     grads: list[dict[str, np.ndarray]] = []
     g = dlogits
     for i in reversed(range(len(net.layers))):
-        lay, layer_cache = net.layers[i], cache.layers[i]
+        lay, cache = net.layers[i], caches[i]
         if i:
-            g, *param_grads = lay.backward(g, layer_cache)
+            g, *param_grads = lay.backward(g, cache)
         else:
-            param_grads = lay.param_backward(g, layer_cache)
+            param_grads = lay.param_backward(g, cache)
         grads.append(dict(zip(lay.trainable, param_grads)))
     return grads[::-1]
 
 
-def commit_bn_updates(params: ParamState, cache: ForwardCache) -> None:
-    for i, new_mean, new_var in cache.bn_updates:
-        params.layers[i]["moving_mean"] = new_mean
-        params.layers[i]["moving_var"] = new_var
+def commit_bn_updates(net: NetworkSpec, params: ParamState, caches: list) -> None:
+    """Write each batch-norm layer's pending (mean, var) from its train-mode cache entry."""
+    for lay, p, cache in zip(net.layers, params.layers, caches):
+        if lay.kind == "batch_norm":
+            p["moving_mean"], p["moving_var"] = cache[1]
+
+
+def _check_data(what: str, x: np.ndarray, y: np.ndarray) -> None:
+    """Reject an empty dataset and labels that are not one per sample."""
+    if x.shape[0] == 0:
+        raise ConfigError(f"{what} needs a non-empty dataset")
+    if y.shape != (x.shape[0],):
+        raise ShapeError(f"{what}: labels shape {y.shape} does not match N={x.shape[0]}")
 
 
 def check_batch_size(net: NetworkSpec, n: int, batch_size: int) -> None:
@@ -731,36 +734,27 @@ def check_batch_size(net: NetworkSpec, n: int, batch_size: int) -> None:
 
 
 def train_epoch(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarray,
-                batch_size: int, rng: SeededPrng, lr: float = 1e-3):
-    """One seeded-shuffle pass: forward, loss, backward, Adam per batch.
-
-    Returns (params, mean train loss, train accuracy), both metrics
-    accumulated from the train-mode forward passes.
-    """
+                batch_size: int, rng: SeededPrng, lr: float = 1e-3) -> None:
+    """One seeded-shuffle pass: forward, loss, backward, Adam and the
+    batch-norm commit per batch, updating params in place."""
+    _check_data("train_epoch", x, y)
     n = x.shape[0]
-    if n == 0:
-        raise ConfigError("train_epoch needs a non-empty dataset")
     check_batch_size(net, n, batch_size)
-    loss_sum, correct = 0.0, 0
     order = rng.permutation(n)
     for idx in (order[lo : lo + batch_size] for lo in range(0, n, batch_size)):
-        xb, yb = x[idx], y[idx]
-        logits, cache = network_forward(net, params, xb, "train", rng)
-        loss, probs, dlogits = softmax_cross_entropy(logits, yb)
-        grads = network_backward(net, params, cache, dlogits)
-        adam_step(params, grads, lr)
-        commit_bn_updates(params, cache)
-        loss_sum += loss * len(idx)
-        correct += int(np.sum(probs.argmax(axis=1) == yb))
-    return params, loss_sum / n, correct / n
+        logits, caches = network_forward(net, params, x[idx], "train", rng)
+        _, _, dlogits = softmax_cross_entropy(logits, y[idx])
+        adam_step(params, network_backward(net, params, caches, dlogits), lr)
+        commit_bn_updates(net, params, caches)
 
 
 def evaluate(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarray,
              batch_size: int = 64):
     """Eval-mode loss, accuracy, and predicted labels over a whole dataset."""
+    _check_data("evaluate", x, y)
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     n = x.shape[0]
-    if n == 0:
-        raise ConfigError("evaluate needs a non-empty dataset")
     loss_sum, preds = 0.0, []
     for lo in range(0, n, batch_size):
         xb, yb = x[lo : lo + batch_size], y[lo : lo + batch_size]
@@ -802,9 +796,9 @@ def gradient_check(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.nd
     if params.dtype != np.float64:
         raise ConfigError(f"gradient_check needs float64 parameters, got {params.dtype}")
     rng = SeededPrng(seed)
-    logits, cache = network_forward(net, params, x, "train", rng)
+    logits, caches = network_forward(net, params, x, "train", rng)
     _, _, dlogits = softmax_cross_entropy(logits, y)
-    analytic = network_backward(net, params, cache, dlogits)
+    analytic = network_backward(net, params, caches, dlogits)
 
     def loss_at() -> float:
         logits, _ = network_forward(net, params, x, "train", SeededPrng(seed))

@@ -3,9 +3,10 @@
 Only what the cell-image corpus needs. Decoding checks chunk CRCs and
 reports the offending chunk and byte offset on failure, undoes any mix of
 the five scanline filters in whole-array numpy steps (one per anti-diagonal
-once a row is Average or Paeth), rejects images over MAX_PIXELS pixels and
-never inflates past the declared size. Encoding writes type 0 scanlines
-at a fixed zlib level, so a pixel array gives the same bytes everywhere.
+once a row is Average or Paeth), rejects images over MAX_PIXELS pixels or
+2^14 in width + height and never inflates past the declared size. Encoding
+writes type 0 scanlines at a fixed zlib level, so a pixel array gives the
+same bytes everywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .errors import DecodeError, UnsupportedFormatError
 
 _SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _ZLIB_LEVEL = 6
-# Largest width * height decoded; bigger images are UnsupportedFormatError.
+# Largest width * height decoded; bigger images are UnsupportedFormatError, and
+# so are images over 2^14 in width + height: that caps an Average image's
+# width + height - 1 wavefront steps, so thin images decode no slower than squares.
 MAX_PIXELS = 1 << 24
 
 
@@ -29,7 +32,7 @@ def decode_rgb8(data: bytes) -> np.ndarray:
     Accepts 8-bit truecolor (RGB) and truecolor-with-alpha (RGBA, alpha
     discarded). Raises DecodeError for malformed input, naming the chunk and
     offset, and UnsupportedFormatError for valid PNGs outside that subset,
-    including images over MAX_PIXELS pixels.
+    including images over MAX_PIXELS pixels or 2^14 in width + height.
     """
     if len(data) < len(_SIGNATURE) or data[:8] != _SIGNATURE:
         raise DecodeError("not a PNG: bad 8-byte signature at offset 0")
@@ -97,6 +100,7 @@ def decode_rgb8(data: bytes) -> np.ndarray:
             f"for {width}x{height}x{channels}"
         )
 
+    del idat, inflater  # free the compressed stream and zlib's window before unfiltering
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, 1 + stride)
     pixels = _unfilter(rows, width, channels)
     return np.ascontiguousarray(pixels[:, :, :3])
@@ -122,6 +126,8 @@ def _parse_ihdr(body: bytes, pos: int) -> tuple[int, int, int]:
         raise UnsupportedFormatError(
             f"image {width}x{height} exceeds the {MAX_PIXELS}-pixel limit"
         )
+    if width + height > 1 << 14:
+        raise UnsupportedFormatError(f"image {width}x{height} exceeds the width + height limit 16384")
     return width, height, 4 if color == 6 else 3
 
 

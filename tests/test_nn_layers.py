@@ -515,13 +515,13 @@ def test_first_layer_skips_only_its_input_gradient(monkeypatch):
     grads = nn.network_backward(net, params, cache, dlogits)
     assert col2im_calls == [(4, 14, 14, 32), (4, 30, 30, 16)]  # layers 7 and 3, not 0
     g = dlogits
-    for lay, layer_cache in zip(net.layers[:0:-1], cache.layers[:0:-1]):
+    for lay, layer_cache in zip(net.layers[:0:-1], cache[:0:-1]):
         g = lay.backward(g, layer_cache)[0]
-    dx, dkernel, dbias = nn.conv2d_backward(g, cache.layers[0])
+    dx, dkernel, dbias = nn.conv2d_backward(g, cache[0])
     assert dx.shape == x.shape
     assert np.array_equal(grads[0]["kernel"], dkernel)
     assert np.array_equal(grads[0]["bias"], dbias)
-    assert nn.conv2d_backward(g, cache.layers[0], input_grad=False)[0] is None
+    assert nn.conv2d_backward(g, cache[0], input_grad=False)[0] is None
 
 
 def test_gradient_check_requires_float64():

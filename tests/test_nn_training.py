@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import cellgrade.nn as nn
-from cellgrade.errors import ConfigError
+from cellgrade.errors import ConfigError, ShapeError
 from cellgrade.prng import SeededPrng
 
 
@@ -161,11 +161,16 @@ def test_eval_forward_keeps_no_cache_and_little_memory():
     params = nn.init_params(net, 5)
     x = SeededPrng(6).uniform((64, 32, 32, 3)).astype(np.float32)
     y = np.arange(64) % 2
-    _, cache = nn.network_forward(net, params, x, "eval")
-    assert cache == nn.ForwardCache()
-    _, train_cache = nn.network_forward(net, params, x, "train", SeededPrng(7))
-    assert len(train_cache.layers) == len(net.layers) and len(train_cache.bn_updates) == 3
-    del train_cache
+    _, caches = nn.network_forward(net, params, x, "eval")
+    assert caches == []
+    _, train_caches = nn.network_forward(net, params, x, "train", SeededPrng(7))
+    assert len(train_caches) == len(net.layers)
+    pending = [(lay.channels, cache[1]) for lay, cache in zip(net.layers, train_caches)
+               if lay.kind == "batch_norm"]
+    assert len(pending) == 3
+    for channels, (new_mean, new_var) in pending:
+        assert new_mean.shape == new_var.shape == (channels,)
+    del train_caches, pending
     tracemalloc.start()
     try:
         nn.evaluate(net, params, x, y, batch_size=64)
@@ -214,15 +219,20 @@ def test_train_epoch_lr_zero_keeps_params_bitwise():
 
 
 def test_train_epoch_same_seed_identical_losses():
+    """Same seeds, same parameter bytes after every epoch, so the same losses too."""
     x, y = make_blobs(seed=5)
-    losses = []
+    runs = []
     for _ in range(2):
         net = tiny_net()
         params = nn.init_params(net, 7)
         rng = SeededPrng(11)
-        run = [nn.train_epoch(net, params, x, y, 4, rng, lr=1e-3)[1] for _ in range(3)]
-        losses.append(run)
-    assert losses[0] == losses[1]
+        run = []
+        for _ in range(3):
+            assert nn.train_epoch(net, params, x, y, 4, rng, lr=1e-3) is None
+            run.append([t.tobytes() for layer in params.layers for t in layer.values()])
+        runs.append(run)
+    assert runs[0] == runs[1]
+    assert runs[0][0] != runs[0][1] != runs[0][2]  # every epoch moved the parameters
 
 
 def test_overfits_eight_samples():
@@ -232,7 +242,9 @@ def test_overfits_eight_samples():
     rng = SeededPrng(3)
     acc = 0.0
     for _ in range(200):
-        _, _, acc = nn.train_epoch(net, params, x, y, 4, rng, lr=1e-2)
+        nn.train_epoch(net, params, x, y, 4, rng, lr=1e-2)
+        # no batch norm or dropout: eval logits are the train-mode ones
+        _, acc, _ = nn.evaluate(net, params, x, y)
         if acc == 1.0:
             break
     assert acc == 1.0
@@ -285,6 +297,45 @@ def test_moving_statistics_update_during_training():
     nn.train_epoch(net, params, x, y, 4, SeededPrng(5))
     assert not np.array_equal(params.layers[1]["moving_mean"], np.zeros(3))
     assert not np.array_equal(params.layers[1]["moving_var"], np.ones(3))
+
+
+def test_each_batch_norm_commits_its_own_statistics():
+    """One step of the reduced net writes into every batch-norm layer exactly what
+    batch_norm_forward_train gives on that layer's input, replayed by hand."""
+    net = nn.reduced_network()
+    x = SeededPrng(21).uniform((8, 32, 32, 3)).astype(np.float32)
+    params = nn.init_params(net, 22)
+    nn.train_epoch(net, params, x, np.arange(8) % 2, 8, SeededPrng(23))
+    start = nn.init_params(net, 22)
+    rng = SeededPrng(23)
+    h = x[rng.permutation(8)]  # the epoch's shuffle; dropout masks are the pass's only draws
+    committed = 0
+    for lay, p, after in zip(net.layers, start.layers, params.layers):
+        if lay.kind == "batch_norm":
+            h, _, (new_mean, new_var) = nn.batch_norm_forward_train(
+                h, p["gamma"], p["beta"], p["moving_mean"], p["moving_var"],
+                lay.epsilon, lay.momentum)
+            np.testing.assert_array_equal(after["moving_mean"], new_mean)
+            np.testing.assert_array_equal(after["moving_var"], new_var)
+            committed += 1
+        else:
+            h = lay.forward(h, p, True, rng)[0]
+    assert committed == 3
+
+
+@pytest.mark.parametrize("call,n_labels,batch_size,error", [
+    ("train_epoch", 8, 2, ShapeError), ("train_epoch", 4, 2, ShapeError),
+    ("evaluate", 8, 2, ShapeError), ("evaluate", 4, 2, ShapeError),
+    ("evaluate", 6, 0, ConfigError), ("evaluate", 6, -3, ConfigError),
+])
+def test_label_count_and_batch_size_are_checked(call, n_labels, batch_size, error):
+    net = tiny_net()
+    params = nn.init_params(net, 0)
+    x, _ = make_blobs(n=6)
+    y = np.arange(n_labels) % 2
+    args = (batch_size, SeededPrng(0)) if call == "train_epoch" else (batch_size,)
+    with pytest.raises(error, match="labels shape" if error is ShapeError else "batch_size"):
+        getattr(nn, call)(net, params, x, y, *args)
 
 
 def test_evaluate_matches_manual_pass():

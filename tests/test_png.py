@@ -1,6 +1,7 @@
 """PNG codec tests, including an independent encoder for all filter types."""
 
 import struct
+import time
 import tracemalloc
 import zlib
 
@@ -295,10 +296,11 @@ def test_paeth_decode_memory_is_bounded_by_the_image():
     assert ratio < 8, ratio
 
 
-# a lone row cannot mix filter types, so 1 x 65536 is Paeth only
+# the thinnest shapes the width + height limit accepts; a lone row cannot mix
+# filter types, so 1 x 16383 is Paeth only
 @pytest.mark.parametrize("rows_of,height,width", [
-    ("paeth", 1, 65536), ("paeth", 65536, 1), ("paeth", 4096, 16),
-    ("mixed", 65536, 1), ("mixed", 4096, 16),
+    ("paeth", 1, 16383), ("paeth", 16383, 1), ("paeth", 4096, 16),
+    ("mixed", 16383, 1), ("mixed", 4096, 16),
 ])
 def test_thin_image_decode_memory_is_bounded_by_the_image(rows_of, height, width):
     rng = np.random.default_rng(7)
@@ -317,6 +319,26 @@ def test_oversized_ihdr_is_unsupported_before_inflating():
     side = 1 << 12  # exactly MAX_PIXELS passes the header check
     with pytest.raises(DecodeError, match="zlib"):
         png.decode_rgb8(png_with_idat(side, side, b"not zlib at all"))
+
+
+@pytest.mark.parametrize("height,width", [(65536, 1), (1, 65536)])
+def test_thin_ihdr_over_the_side_limit_is_unsupported_before_inflating(height, width):
+    # the IDAT is not zlib, so reaching the inflater would raise DecodeError instead
+    with pytest.raises(UnsupportedFormatError, match="width \\+ height limit"):
+        png.decode_rgb8(png_with_idat(width, height, b"not zlib at all"))
+
+
+@pytest.mark.parametrize("height,width", [(1, 16383), (16383, 1)])
+def test_thin_average_images_decode_quickly(height, width):
+    """One wavefront step per anti-diagonal: the side limit bounds the steps."""
+    rng = np.random.default_rng(9)
+    pixels = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    data = encode_with_filter(pixels, 3)
+    start = time.perf_counter()
+    decoded = png.decode_rgb8(data)
+    seconds = time.perf_counter() - start
+    np.testing.assert_array_equal(decoded, pixels)
+    assert seconds < 2, seconds
 
 
 def test_inflate_stops_at_declared_size():
