@@ -36,8 +36,6 @@ def parse_k_list(text: str) -> list[int]:
             values.extend(range(lo, hi + 1))
     except ValueError:
         raise ConfigError(f"k list {text!r} must be integers or 'a-b' spans") from None
-    if not values:
-        raise ConfigError(f"empty k list: {text!r}")
     return values
 
 

@@ -54,22 +54,15 @@ def _axis_coords(src: int, dst: int):
 def resize_bilinear(img: PixelImage, out_w: int, out_h: int) -> PixelImage:
     """Bilinear resize with half-pixel centers, each channel independent.
 
-    Rows are interpolated along x, then output row y mixes rows y0 and y1.
-    When the output has at least half the source's rows, each source row is
-    interpolated once; otherwise only the two rows each output row reads
-    are, which is less work and fewer bytes of temporaries. Both give the
-    same bytes."""
+    Each source row is interpolated along x once; output row y then mixes
+    rows y0 and y1."""
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output size must be >= 1, got {out_w}x{out_h}")
     v = img.values
     x0, x1, wx = _axis_coords(v.shape[1], out_w)
     y0, y1, wy = _axis_coords(v.shape[0], out_h)
-    if 2 * out_h < v.shape[0]:
-        top, bot = (v[y[:, None], x0] * (1 - wx)[:, None] + v[y[:, None], x1] * wx[:, None] for y in (y0, y1))
-    else:
-        h = v[:, x0] * (1 - wx)[:, None] + v[:, x1] * wx[:, None]
-        top, bot = h[y0], h[y1]
-    out = top * (1 - wy)[:, None, None] + bot * wy[:, None, None]
+    h = v[:, x0] * (1 - wx)[:, None] + v[:, x1] * wx[:, None]
+    out = h[y0] * (1 - wy)[:, None, None] + h[y1] * wy[:, None, None]
     return PixelImage(np.clip(out, 0.0, 1.0))
 
 
@@ -93,7 +86,7 @@ def rgb_to_hsv(img: PixelImage) -> np.ndarray:
 def extract_raw_features(img: PixelImage) -> np.ndarray:
     """Resize to 32x32 and flatten row-major (row, column, channel): 3072 dims."""
     resized = resize_bilinear(img, RAW_SIDE, RAW_SIDE)
-    return resized.values.reshape(-1).copy()
+    return resized.values.reshape(-1)
 
 
 def extract_histogram_features(img: PixelImage, bins_per_channel: int = DEFAULT_BINS) -> np.ndarray:

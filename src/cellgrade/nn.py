@@ -746,6 +746,7 @@ def train_epoch(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarr
         _, _, dlogits = softmax_cross_entropy(logits, y[idx])
         adam_step(params, network_backward(net, params, caches, dlogits), lr)
         commit_bn_updates(net, params, caches)
+        del caches  # else the next step's forward runs with this step's caches alive
 
 
 def evaluate(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarray,

@@ -295,6 +295,9 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
     main(["synth", "--out", str(out), "--n", "12", "--side", "24", "--seed", "0"])
     capsys.readouterr()
     for args in (["knn", "--k", "50", "--folds", "2"],
+                 ["knn", "--folds", "1"],
+                 ["knn", "--k", "0"],
+                 ["cnn-train", "--epochs", "-1"],
                  ["knn", "--k", "1-x"],  # span bound is not an integer
                  ["knn", "--k", "1,10-5"],  # a reversed span, not k=1 alone
                  ["knn", "--bins", "0"],
@@ -364,17 +367,28 @@ def test_cli_exit_code_data_error(tmp_path, capsys):
         assert code == 3, args
         err = capsys.readouterr().err
         assert err.startswith("data error") and err.count("\n") == 1, err
+    # a tree whose every PNG is cut short: each is skipped, then no image is left
+    for path in out.rglob("*.png"):
+        path.write_bytes(path.read_bytes()[:100])
+    for args in (["knn", "--k", "1", "--folds", "2", "--out", str(tmp_path / "k")],
+                 ["cnn-train", "--reduced", "--epochs", "0", "--out", str(tmp_path / "c")]):
+        assert main([*args, "--data", str(out)]) == 3, args
+        err = capsys.readouterr().err
+        assert err == "data error: every image in the dataset failed to decode\n", err
 
 
 def test_cli_exit_code_integrity_error(tmp_path, capsys):
     out = tmp_path / "ds"
     main(["synth", "--out", str(out), "--n", "12", "--side", "24", "--seed", "0"])
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"MCLSgarbage" * 10)
-    code = main(["cnn-eval", "--checkpoint", str(bad), "--data", str(out),
-                 "--reduced", "--out", str(tmp_path / "e.json")])
-    assert code == 4
-    assert "integrity error" in capsys.readouterr().err
+    for body, says in ((b"MCLSgarbage" * 10, "unsupported checkpoint version"),
+                       (b"MCLS" + bytes(6), "too small (10 bytes)")):
+        bad.write_bytes(body)
+        code = main(["cnn-eval", "--checkpoint", str(bad), "--data", str(out),
+                     "--reduced", "--out", str(tmp_path / "e.json")])
+        err = capsys.readouterr().err
+        assert code == 4 and err.startswith("integrity error") and says in err, err
+        assert err.count("\n") == 1, err
     # a correctly sealed checkpoint whose step is not a count: the step is the
     # last tensor, its float32 value the 4 bytes before the checksum
     save_checkpoint(nn.init_params(nn.reduced_network(), 0), nn.reduced_network(), bad)
@@ -401,6 +415,7 @@ def test_cli_exit_code_integrity_error(tmp_path, capsys):
          f"has {count + 1} tensors, expected {count}"),
         (good[:m_at] + good[v_at:end] + good[m_at:v_at] + good[end:],
          "expected tensor 'layer00/conv2d/bias.m'"),
+        (good[:-8] + bytes(3) + good[-8:], "3 trailing bytes after the last tensor"),
     ):
         bad.write_bytes(refix_checksum(body))
         code = main(["cnn-eval", "--checkpoint", str(bad), "--data", str(out),
@@ -424,6 +439,9 @@ def test_parse_k_list():
     assert parse_k_list("1-4,9") == [1, 2, 3, 4, 9]
     with pytest.raises(ConfigError, match="reversed span '10-5'"):
         parse_k_list("1,10-5")  # not k=1 alone
+    for text in ("", ","):  # an empty part is not an integer, so no list comes out empty
+        with pytest.raises(ConfigError, match="must be integers"):
+            parse_k_list(text)
 
 
 def test_parse_k_list_caps_values_before_expanding():

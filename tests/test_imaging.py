@@ -2,7 +2,7 @@ import colorsys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -116,6 +116,13 @@ def gather_resize(v, out_w, out_h):
 @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40), st.integers(1, 40),
        st.booleans(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
+# cell sizes past the drawn range: corpus cells to the raw 32 px and the reference
+# net's 64 px, and the synth tree's 64 px to 32 and to itself
+@example(h=100, w=100, out_h=32, out_w=32, same_size=False, seed=1)
+@example(h=100, w=150, out_h=32, out_w=32, same_size=False, seed=2)
+@example(h=150, w=150, out_h=64, out_w=64, same_size=False, seed=3)
+@example(h=64, w=64, out_h=32, out_w=32, same_size=False, seed=4)
+@example(h=64, w=64, out_h=64, out_w=64, same_size=True, seed=5)
 def test_resize_is_byte_identical_to_gather_formula(h, w, out_h, out_w, same_size, seed):
     if same_size:
         out_h, out_w = h, w

@@ -273,6 +273,35 @@ def test_train_epoch_batches_walk_one_seeded_permutation(monkeypatch, n, batch_s
     assert rng.next_u64() == expected.next_u64()
 
 
+def array_bytes(obj) -> int:
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(array_bytes(o) for o in obj)
+    return 0
+
+
+def test_train_epoch_frees_each_steps_caches():
+    """A step's caches are gone before the next step's forward pass, so three
+    batches peak no higher than one."""
+    net = nn.reduced_network()
+    x = SeededPrng(6).uniform((96, 32, 32, 3)).astype(np.float32)
+    y = np.arange(96) % 2
+    _, caches = nn.network_forward(net, nn.init_params(net, 5), x[:32], "train", SeededPrng(7))
+    step_cache_bytes = array_bytes(caches)
+    del caches
+    peaks = {}
+    for n in (32, 96):
+        params = nn.init_params(net, 5, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            nn.train_epoch(net, params, x[:n], y[:n], 32, SeededPrng(8))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[96] - peaks[32] <= step_cache_bytes / 4, (peaks, step_cache_bytes)
+
+
 def test_train_epoch_rejects_trailing_singleton_with_bn():
     net = nn.NetworkSpec((4, 4, 2), (nn.Conv2D(3, (3, 3)), nn.BatchNorm(3), nn.Flatten(), nn.Dense(2)))
     params = nn.init_params(net, 0)

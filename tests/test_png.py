@@ -1,5 +1,6 @@
 """PNG codec tests, including an independent encoder for all filter types."""
 
+import re
 import struct
 import time
 import tracemalloc
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cellgrade import data, imaging, png
+from cellgrade import data, harness, imaging, png
 from cellgrade.errors import DecodeError, UnsupportedFormatError
+from cellgrade.knn import EUCLIDEAN
 
 SIG = b"\x89PNG\r\n\x1a\n"
 
@@ -142,6 +144,51 @@ def test_first_chunk_must_be_ihdr():
     data = SIG + chunk(b"sRGB", b"\x00") + chunk(b"IEND", b"")
     with pytest.raises(DecodeError, match="expected b'IHDR'"):
         png.decode_rgb8(data)
+
+
+def ihdr_body(w: int = 2, h: int = 2, comp: int = 0, filt: int = 0) -> bytes:
+    return struct.pack(">IIBBBBB", w, h, 8, 2, comp, filt, 0)
+
+
+BLANK_IDAT = chunk(b"IDAT", zlib.compress(b"\x00" * 14))  # two blank rows of a 2x2 RGB image
+NO_IEND = SIG + chunk(b"IHDR", ihdr_body()) + BLANK_IDAT
+
+
+def png_with_ihdr(ihdr: bytes) -> bytes:
+    return SIG + chunk(b"IHDR", ihdr) + BLANK_IDAT + chunk(b"IEND", b"")
+
+
+MALFORMED_HEADERS = {
+    "signature-only": (SIG, "^no IHDR chunk found$"),
+    "no-idat": (SIG + chunk(b"IHDR", ihdr_body()) + chunk(b"IEND", b""), "^no IDAT chunks found$"),
+    "no-iend": (NO_IEND, rf"^missing IEND chunk \(stream ends at offset {len(NO_IEND)}\)$"),
+    "ihdr-12": (png_with_ihdr(ihdr_body()[:12]), "^IHDR chunk at offset 8 has length 12, expected 13$"),
+    "ihdr-14": (png_with_ihdr(ihdr_body() + b"\x00"), "^IHDR chunk at offset 8 has length 14, expected 13$"),
+    "empty": (png_with_ihdr(ihdr_body(0, 4)), "^IHDR at offset 8 declares empty image 0x4$"),
+    "compression-1": (png_with_ihdr(ihdr_body(comp=1)),
+                      "^IHDR at offset 8: compression=1, filter=0, both must be 0$"),
+    "filter-1": (png_with_ihdr(ihdr_body(filt=1)),
+                 "^IHDR at offset 8: compression=0, filter=1, both must be 0$"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_HEADERS)
+def test_malformed_header_raises_decode_error(name):
+    body, message = MALFORMED_HEADERS[name]
+    with pytest.raises(DecodeError, match=message):
+        png.decode_rgb8(body)
+
+
+def test_knn_skips_malformed_headers(tmp_path):
+    data.synth_generate(tmp_path, 8, 0.5, side=16, seed=2)
+    for name, (body, _) in MALFORMED_HEADERS.items():
+        (tmp_path / "Parasitized" / f"{name}.png").write_bytes(body)
+    summary = harness.cmd_knn(tmp_path, "raw", EUCLIDEAN, [1], folds=2)
+    assert summary["n_samples"] == 8
+    reasons = {s["id"]: s["reason"] for s in summary["skipped"]}
+    assert reasons.keys() == {f"Parasitized/{name}.png" for name in MALFORMED_HEADERS}
+    for name, (_, message) in MALFORMED_HEADERS.items():
+        assert re.match(message, reasons[f"Parasitized/{name}.png"]), name
 
 
 def test_corrupt_zlib_stream():
