@@ -1,7 +1,8 @@
 """Gradient checking: analytic backprop vs central finite differences.
 
-Runs the checker in float64 on a small network containing every layer type,
-then corrupts one backward rule on purpose to show the checker catching it.
+Runs the checker in float64 on a small network containing every layer type
+(two overlapping max pools among them), then corrupts one backward rule on
+purpose to show the checker catching it.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from cellgrade.prng import SeededPrng
 net = nn.NetworkSpec((10, 10, 3), (
     nn.Conv2D(4, (3, 3), (1, 1)), nn.BatchNorm(4), nn.Relu(),
     nn.Conv2D(6, (3, 3), (2, 2)), nn.Relu(), nn.Dropout(0.25),
-    nn.MaxPool((2, 2), (1, 1)), nn.AvgPool((2, 2), (1, 1)), nn.Flatten(),
+    nn.MaxPool((2, 2), (1, 1)), nn.MaxPool((2, 2), (1, 1)), nn.Flatten(),
     nn.Dense(8), nn.Relu(), nn.Dropout(0.4), nn.Dense(2),
 ))
 params = nn.init_params(net, seed=6, dtype=np.float64)

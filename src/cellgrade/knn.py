@@ -1,9 +1,11 @@
-"""Exact k-nearest-neighbour classification over feature vectors.
+"""Cross-validated exact k-nearest-neighbour classification over feature vectors.
 
-Four distance metrics (euclidean, manhattan, hamming, minkowski), exact
-neighbour search, majority vote and stratified k-fold cross-validation over
-binary labels. Neighbours are ordered by (distance, train_index), with every
-distance from _row_distances, so the order does not depend on the BLAS kernel.
+k_sweep runs stratified k-fold cross-validation over binary labels for a list
+of distinct k, under one of four distance metrics (euclidean, manhattan,
+hamming, minkowski). Per fold, _nearest finds every validation row's
+neighbours at once and _vote takes their majority. Neighbours are ordered by
+(distance, train_index), with every distance from _row_distances, so the order
+does not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -55,49 +57,6 @@ def minkowski(p: float) -> DistanceMetric:
     return DistanceMetric("minkowski", p)
 
 
-def distance(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance between two equal-length vectors.
-
-    euclidean: sqrt(sum((a-b)^2)); manhattan: sum(|a-b|); hamming: count of
-    exactly unequal positions (meant for binary features, no thresholding);
-    minkowski(p): (sum(|a-b|^p))^(1/p).
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.size != b.size or a.size == 0:
-        raise ShapeError(f"distance needs equal non-empty dims, got {a.size} and {b.size}")
-    return float(_row_distances(metric, b[None, :], a)[0])
-
-
-@dataclass(frozen=True)
-class KnnModel:
-    """The training data is the model: N x D features, N binary labels."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    k: int
-    metric: DistanceMetric = EUCLIDEAN
-
-    def __post_init__(self):
-        _check_training_set(self.features, self.labels)
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.k > self.features.shape[0]:
-            raise ConfigError(f"k={self.k} exceeds training-set size N={self.features.shape[0]}")
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """k nearest training entries sorted ascending by (distance, train_index)."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-    labels: np.ndarray
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-
 def _check_training_set(x: np.ndarray, labels: np.ndarray) -> None:
     """A non-empty N x D feature matrix with N labels, each 0 or 1."""
     if x.ndim != 2 or x.shape[0] < 1:
@@ -110,7 +69,12 @@ def _check_training_set(x: np.ndarray, labels: np.ndarray) -> None:
 
 
 def _row_distances(metric: DistanceMetric, x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Distances from one query q to every row of x: the one per-pair kernel."""
+    """Distances from one query q to every row of x: the one per-pair kernel.
+
+    euclidean: sqrt(sum((x-q)^2)); manhattan: sum(|x-q|); hamming: count of
+    exactly unequal positions (meant for binary features, no thresholding);
+    minkowski(p): (sum(|x-q|^p))^(1/p).
+    """
     if metric.variant == "hamming":
         return np.count_nonzero(x != q[None, :], axis=1).astype(np.float64)
     diff = x - q[None, :]
@@ -119,23 +83,6 @@ def _row_distances(metric: DistanceMetric, x: np.ndarray, q: np.ndarray) -> np.n
     if metric.variant == "manhattan":
         return np.sum(np.abs(diff), axis=1)
     return np.sum(np.abs(diff) ** metric.p, axis=1) ** (1.0 / metric.p)
-
-
-def k_nearest(model: KnnModel, query) -> NeighborSet:
-    """Exact k smallest (distance, train_index) pairs for one query vector."""
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    x = np.ascontiguousarray(model.features, dtype=np.float64)
-    if q.size != x.shape[1]:
-        raise ShapeError(f"query has {q.size} dims, model rows have {x.shape[1]}")
-    order = _nearest(model.metric, q[None, :], x, model.k)[0]
-    return NeighborSet(order, _row_distances(model.metric, x[order], q), np.asarray(model.labels)[order])
-
-
-def predict(neighbors: NeighborSet) -> int:
-    """Modal label; ties go to the nearest neighbour among the tied classes."""
-    if len(neighbors) == 0:
-        raise ConfigError("cannot predict from an empty neighbour set")
-    return int(_vote(neighbors.labels[None, :], len(neighbors))[0])
 
 
 def _nearest(metric: DistanceMetric, queries: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
@@ -175,7 +122,8 @@ def _nearest(metric: DistanceMetric, queries: np.ndarray, x: np.ndarray, k: int)
 
 
 def _vote(sorted_labels: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise majority over the first k distance-sorted labels (binary)."""
+    """Row-wise majority over the first k distance-sorted labels (binary); a tie
+    goes to the nearest neighbour's label, column 0."""
     ones = np.sum(sorted_labels[:, :k], axis=1)
     return np.where(2 * ones == k, sorted_labels[:, 0], 2 * ones > k)
 
@@ -220,6 +168,11 @@ def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
     k_values = [int(k) for k in k_values]
     if not k_values or min(k_values) < 1:
         raise ConfigError(f"k_values must be non-empty positive integers, got {k_values}")
+    seen = set()
+    for k in k_values:
+        if k in seen:
+            raise ConfigError(f"k={k} is listed more than once; each k gets one row per fold")
+        seen.add(k)
     assignment = stratified_fold_indices(labels, folds, seed)
     fold_hash = fold_assignment_hash(assignment, folds, seed)
     per_fold = _fold_sorted_labels(features, labels, assignment, folds, metric, max(k_values))

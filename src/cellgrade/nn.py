@@ -1,7 +1,7 @@
 """Minimal CNN engine: NHWC tensors, hand-derived backprop, Adam.
 
 Layer types: valid-padding convolution, batch normalization, inverted
-dropout, max/average pooling, flatten, dense, ReLU, and a softmax
+dropout, max pooling, flatten, dense, ReLU, and a softmax
 cross-entropy head. Convolution is cross-correlation (no kernel flip) over
 im2col windows; pooling loops over window offsets, one strided slice each.
 Tensors are plain C-order numpy arrays; float32 for training, float64 for
@@ -156,38 +156,23 @@ class Dropout(_Layer):
 
 
 @dataclass(frozen=True)
-class _Pool(_Layer):
+class MaxPool(_Layer):
+    kind: ClassVar[str] = "max_pool"
     pool: tuple[int, int] = (2, 2)
     stride: tuple[int, int] = (2, 2)
 
     def __post_init__(self):
         if min(self.pool) < 1 or min(self.stride) < 1:
-            raise ConfigError(f"{self.kind} sizes must be >= 1: {self}")
+            raise ConfigError(f"max_pool sizes must be >= 1: {self}")
 
     def out_shape(self, in_shape):
         return (*_window_shape(in_shape, self.pool, self.stride), in_shape[-1])
-
-
-@dataclass(frozen=True)
-class MaxPool(_Pool):
-    kind: ClassVar[str] = "max_pool"
 
     def forward(self, h, p, train, rng):
         return max_pool_forward(h, self.pool, self.stride, train)
 
     def backward(self, g, cache):
         return (max_pool_backward(g, cache),)
-
-
-@dataclass(frozen=True)
-class AvgPool(_Pool):
-    kind: ClassVar[str] = "avg_pool"
-
-    def forward(self, h, p, train, rng):
-        return avg_pool_forward(h, self.pool, self.stride)
-
-    def backward(self, g, cache):
-        return (avg_pool_backward(g, cache),)
 
 
 @dataclass(frozen=True)
@@ -240,7 +225,7 @@ class Dense(_Layer):
         return dense_backward(g, cache)
 
 
-LayerSpec = Conv2D | BatchNorm | Dropout | MaxPool | AvgPool | Flatten | Relu | Dense
+LayerSpec = Conv2D | BatchNorm | Dropout | MaxPool | Flatten | Relu | Dense
 
 
 @dataclass(frozen=True)
@@ -559,22 +544,6 @@ def max_pool_backward(dy, cache):
     dx = np.zeros(x_shape, dtype=dy.dtype)
     for k, win in enumerate(_offsets(pool, stride, dy.shape[1:3])):
         dx[win] += np.where(arg == k, dy, 0)
-    return dx
-
-
-def avg_pool_forward(x, pool: tuple[int, int], stride: tuple[int, int]):
-    """Per-window mean: 0 plus each window offset's slice in row-major order."""
-    offsets = _offsets(pool, stride, _window_shape(x.shape[1:], pool, stride))
-    y = sum(x[win] for win in offsets) / np.asarray(pool[0] * pool[1], dtype=x.dtype)
-    return y, (x.shape, pool, stride)
-
-
-def avg_pool_backward(dy, cache):
-    x_shape, pool, stride = cache
-    share = dy / np.asarray(pool[0] * pool[1], dtype=dy.dtype)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    for win in _offsets(pool, stride, dy.shape[1:3]):
-        dx[win] += share
     return dx
 
 

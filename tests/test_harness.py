@@ -300,6 +300,8 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                  ["cnn-train", "--epochs", "-1"],
                  ["knn", "--k", "1-x"],  # span bound is not an integer
                  ["knn", "--k", "1,10-5"],  # a reversed span, not k=1 alone
+                 ["knn", "--k", "1,1"],  # a repeated k would repeat its rows
+                 ["knn", "--k", "1-3,2"],
                  ["knn", "--bins", "0"],
                  ["knn", "--bins", "17"],  # 17**3 dims per image, past the 16**3 cap
                  ["knn", "--bins", "1000"],  # would ask for 8 GB per image

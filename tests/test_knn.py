@@ -14,13 +14,8 @@ from cellgrade.knn import (
     HAMMING,
     MANHATTAN,
     DistanceMetric,
-    KnnModel,
-    NeighborSet,
-    distance,
-    k_nearest,
     k_sweep,
     minkowski,
-    predict,
 )
 
 # Feature grids keep values exactly representable so ties are exact ties.
@@ -46,6 +41,21 @@ def oracle_neighbors(features, labels, metric, q, k):
               for i, row in enumerate(features)]
     scored.sort()
     return [(i, d, labels[i]) for d, i in scored[:k]]
+
+
+def distance(metric, a, b):
+    """The row kernel on one pair of vectors."""
+    return float(knn._row_distances(metric, a[None, :], b)[0])
+
+
+def nearest(metric, x, q, k):
+    """_nearest's row for one query."""
+    return knn._nearest(metric, q[None, :], x, k)[0]
+
+
+def vote(sorted_labels):
+    """_vote over one whole distance-sorted label list."""
+    return int(knn._vote(np.asarray(sorted_labels)[None, :], len(sorted_labels))[0])
 
 
 def oracle_vote(entries):
@@ -93,11 +103,6 @@ def test_minkowski_p1_reduces_to_manhattan():
             distance(MANHATTAN, a, b), 1e-30)
 
 
-def test_dimension_mismatch_names_both():
-    with pytest.raises(ShapeError, match="3 and 5"):
-        distance(EUCLIDEAN, np.zeros(3), np.zeros(5))
-
-
 def test_minkowski_p_below_1_rejected():
     with pytest.raises(ConfigError, match="p >= 1"):
         minkowski(0.5)
@@ -129,33 +134,19 @@ def test_metric_symmetry_and_triangle(data, variant):
     assert distance(metric, a, c) <= distance(metric, a, b) + distance(metric, b, c) + 1e-9
 
 
-# -- k_nearest / predict / probabilities -------------------------------------
+# -- neighbour search and vote -------------------------------------------------
 
 def test_k_nearest_prefers_closer_point():
-    model = KnnModel(np.array([[0.0, 0.0], [10.0, 10.0]]), np.array([0, 1]), k=1)
-    nb = k_nearest(model, np.array([1.0, 1.0]))
-    assert nb.indices.tolist() == [0]
-    assert predict(nb) == 0
+    labels = np.array([0, 1])
+    order = nearest(EUCLIDEAN, np.array([[0.0, 0.0], [10.0, 10.0]]), np.array([1.0, 1.0]), 1)
+    assert order.tolist() == [0]
+    assert vote(labels[order]) == 0
 
 
 def test_k_nearest_self_match():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(20, 4))
-    model = KnnModel(x, np.zeros(20, dtype=int), k=1)
-    nb = k_nearest(model, x[7])
-    assert nb.indices[0] == 7
-    assert nb.distances[0] == 0.0
-
-
-def test_k_exceeds_n_rejected():
-    with pytest.raises(ConfigError, match="exceeds"):
-        KnnModel(np.zeros((3, 2)), np.zeros(3, dtype=int), k=4)
-
-
-def test_query_dims_checked():
-    model = KnnModel(np.zeros((3, 2)), np.zeros(3, dtype=int), k=1)
-    with pytest.raises(ShapeError):
-        k_nearest(model, np.zeros(5))
+    assert nearest(EUCLIDEAN, x, x[7], 1).tolist() == [7]
 
 
 def test_k_nearest_matches_exhaustive_oracle():
@@ -169,27 +160,20 @@ def test_k_nearest_matches_exhaustive_oracle():
         q = np.round(rng.normal(size=d), 2)
         k = int(rng.integers(1, 8))
         metric = metrics[trial % 4]
-        nb = k_nearest(KnnModel(x, labels, k=k, metric=metric), q)
         expected = oracle_neighbors(x, labels, metric, q, k)
-        assert nb.indices.tolist() == [i for i, _, _ in expected]
+        assert nearest(metric, x, q, k).tolist() == [i for i, _, _ in expected]
 
 
 def test_predict_majority():
-    nb = NeighborSet(np.arange(3), np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0]))
-    assert predict(nb) == 1
-    nb = NeighborSet(np.arange(10), np.arange(10.0), np.array([1] * 3 + [0] * 7))
-    assert predict(nb) == 0
-    nb = NeighborSet(np.arange(3), np.arange(3.0), np.array([1, 1, 1]))
-    assert predict(nb) == 1
+    assert vote([1, 1, 0]) == 1
+    assert vote([1] * 3 + [0] * 7) == 0
+    assert vote([1, 1, 1]) == 1
 
 
 def test_predict_tie_goes_to_nearest():
-    nb = NeighborSet(np.arange(2), np.array([1.0, 2.0]), np.array([0, 1]))
-    assert predict(nb) == 0
-    nb = NeighborSet(np.arange(2), np.array([1.0, 2.0]), np.array([1, 0]))
-    assert predict(nb) == 1
-    nb = NeighborSet(np.arange(4), np.arange(4.0), np.array([0, 1, 0, 1]))
-    assert predict(nb) == 0
+    assert vote([0, 1]) == 0
+    assert vote([1, 0]) == 1
+    assert vote([0, 1, 0, 1]) == 0
 
 
 def test_predict_matches_counting_oracle():
@@ -198,8 +182,7 @@ def test_predict_matches_counting_oracle():
         k = 10
         labels = rng.integers(0, 2, size=k)
         dists = np.sort(rng.uniform(size=k))
-        nb = NeighborSet(np.arange(k), dists, labels)
-        assert predict(nb) == oracle_vote(list(zip(range(k), dists, labels)))
+        assert vote(labels) == oracle_vote(list(zip(range(k), dists, labels)))
 
 
 def test_predict_agrees_with_probability_argmax():
@@ -207,12 +190,11 @@ def test_predict_agrees_with_probability_argmax():
     for _ in range(200):
         k = int(rng.integers(1, 12))
         labels = rng.integers(0, 2, size=k)
-        nb = NeighborSet(np.arange(k), np.sort(rng.uniform(size=k)), labels)
         probs = {1: labels.sum() / k, 0: 1 - labels.sum() / k}
         if probs[0] != probs[1]:
-            assert predict(nb) == max(probs, key=probs.get)
+            assert vote(labels) == max(probs, key=probs.get)
         else:
-            assert predict(nb) == labels[0]
+            assert vote(labels) == labels[0]
 
 
 def test_scaling_invariance_of_neighbors_and_votes():
@@ -224,11 +206,10 @@ def test_scaling_invariance_of_neighbors_and_votes():
     queries = rng.normal(size=(10, 6))
     for metric in (EUCLIDEAN, MANHATTAN, minkowski(3.0)):
         for s in (0.5, 2.0, 3.7, 1000.0):
-            for q in queries:
-                base = k_nearest(KnnModel(x, labels, k=5, metric=metric), q)
-                scaled = k_nearest(KnnModel(x * s, labels, k=5, metric=metric), q * s)
-                assert base.indices.tolist() == scaled.indices.tolist()
-                assert predict(base) == predict(scaled)
+            base = knn._nearest(metric, queries, x, 5)
+            scaled = knn._nearest(metric, queries * s, x * s, 5)
+            assert base.tolist() == scaled.tolist()
+            assert knn._vote(labels[base], 5).tolist() == knn._vote(labels[scaled], 5).tolist()
 
 
 # -- cross-validation ---------------------------------------------------------
@@ -263,6 +244,13 @@ def test_cross_validate_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("k_values,repeated", [([1, 1], 1), ([1, 2, 3, 2], 2), ([5, 3, 5, 3], 5)])
+def test_k_sweep_rejects_repeated_k(k_values, repeated):
+    x, y = separable_set(n=20)
+    with pytest.raises(ConfigError, match=f"k={repeated} is listed more than once"):
+        k_sweep(x, y, k_values, folds=2)
+
+
 def test_cross_validate_fold_too_small():
     x, y = separable_set(n=8)
     with pytest.raises(ConfigError, match="fewer than k"):
@@ -279,20 +267,18 @@ def test_k_sweep_shares_fold_assignment():
 
 
 def test_k_sweep_consistent_with_per_query_path():
-    """The batched fold scorer must agree with k_nearest + predict."""
+    """The batched fold scorer must agree with the pure-Python oracles, one query at a time."""
     rng = np.random.default_rng(15)
     x = rng.normal(size=(30, 5))
     y = rng.integers(0, 2, size=30)
     for metric in (EUCLIDEAN, MANHATTAN, HAMMING, minkowski(2.5)):
         report, = k_sweep(x, y, [3], folds=3, metric=metric, seed=2)
-        from cellgrade.data import stratified_fold_indices
-
         assignment = stratified_fold_indices(y, 3, 2)
         for fold in range(3):
             val = np.flatnonzero(assignment == fold)
             train = np.flatnonzero(assignment != fold)
-            model = KnnModel(x[train], y[train], k=3, metric=metric)
-            correct = sum(predict(k_nearest(model, x[v])) == y[v] for v in val)
+            correct = sum(oracle_vote(oracle_neighbors(x[train], y[train], metric, x[v], 3)) == y[v]
+                          for v in val)
             assert report.accuracies[fold] == correct / val.size
 
 
@@ -302,7 +288,8 @@ def test_k_sweep_consistent_with_per_query_path():
 @settings(max_examples=200, deadline=None)
 def test_batched_paths_match_the_row_kernel_bytewise(data, variant):
     """_nearest rows are stable argsorts of _row_distances, and k_sweep's folds
-    order neighbours exactly as k_nearest does: ties, near-ties, NaN and inf included."""
+    order neighbours as the stable argsort of _row_distances does: ties, near-ties,
+    NaN and inf included."""
     n = data.draw(st.integers(6, 24))
     d = data.draw(st.integers(1, 6))
     folds = data.draw(st.integers(2, 3))
@@ -334,9 +321,22 @@ def test_batched_paths_match_the_row_kernel_bytewise(data, variant):
         per_fold = knn._fold_sorted_labels(x, np.arange(n), assignment, folds, metric, k)
         for f, (order, val) in enumerate(per_fold):
             train = np.flatnonzero(assignment != f)
-            model = KnnModel(x[train], y[train], k=k, metric=metric)
             for row, v in zip(order, val):
-                assert row.tolist() == train[k_nearest(model, x[v]).indices].tolist()
+                expected = np.argsort(knn._row_distances(metric, x[train], x[v]), kind="stable")[:k]
+                assert row.tolist() == train[expected].tolist()
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7, 22])
+@pytest.mark.parametrize("metric", [EUCLIDEAN, MANHATTAN, HAMMING, minkowski(2.5)], ids=lambda m: m.label)
+def test_nearest_is_the_same_across_query_chunks(monkeypatch, metric, per_chunk):
+    """Chunks of 1, 7 and 22 of 50 queries (7 and 22 leave a partial last chunk)
+    give the bytes of one chunk."""
+    rng = np.random.default_rng(18)
+    x = rng.integers(0, 4, size=(40, 6)) * 0.37  # a coarse grid: exact ties
+    queries = np.concatenate([x[:10], rng.integers(0, 4, size=(40, 6)) * 0.37])
+    whole = knn._nearest(metric, queries, x, 9)
+    monkeypatch.setattr(knn, "_CHUNK_ELEMENTS", per_chunk * x.shape[0])
+    assert knn._nearest(metric, queries, x, 9).tobytes() == whole.tobytes()
 
 
 def test_nearest_is_exact_where_products_underflow():
@@ -367,8 +367,6 @@ def test_nearest_memory_is_a_few_train_matrices(metric):
 
 def test_non_binary_labels_rejected():
     x = np.zeros((6, 2))
-    with pytest.raises(ConfigError, match="labels must be 0 or 1, got 2"):
-        KnnModel(x, np.array([0, 1, 2, 0, 1, 0]), k=1)
     with pytest.raises(ConfigError, match="labels must be 0 or 1, got -1"):
         k_sweep(x, np.array([0, 1, -1, 0, 1, 1]), [1], folds=2)
 

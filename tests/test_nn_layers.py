@@ -184,17 +184,13 @@ def test_dropout_backward_is_bytewise_the_mask_formula(dtype, rate):
 def test_pool_window_example():
     window = np.array([[1.0, 3.0], [2.0, 9.0]]).reshape(1, 2, 2, 1)
     y_max, _ = nn.max_pool_forward(window, (2, 2), (2, 2))
-    y_avg, _ = nn.avg_pool_forward(window, (2, 2), (2, 2))
     assert y_max[0, 0, 0, 0] == 9.0
-    assert y_avg[0, 0, 0, 0] == 3.75
 
 
 def test_pooling_constant_input():
     x = np.full((2, 4, 4, 3), 0.6)
     y_max, _ = nn.max_pool_forward(x, (2, 2), (2, 2))
-    y_avg, _ = nn.avg_pool_forward(x, (2, 2), (2, 2))
     np.testing.assert_allclose(y_max, 0.6)
-    np.testing.assert_allclose(y_avg, 0.6)
 
 
 def test_max_pool_backward_routes_to_argmax():
@@ -295,35 +291,6 @@ def check_max_pool_against_oracle(x, pool, stride, rng):
         np.testing.assert_allclose(dx, expected, rtol=1e-6, atol=1e-6)
 
 
-def scatter_avg_pool_backward(dy, x_shape, pool, stride):
-    """Adds each window's share to its input positions, one window at a time."""
-    (ph, pw), (sh, sw) = pool, stride
-    share = dy / (ph * pw)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    for i in range(dy.shape[1]):
-        for j in range(dy.shape[2]):
-            dx[:, i * sh : i * sh + ph, j * sw : j * sw + pw, :] += share[:, i, j, None, None, :]
-    return dx
-
-
-@settings(deadline=None, max_examples=150)
-@given(st.data())
-def test_avg_pool_matches_window_mean_and_scatter(data):
-    x, pool, stride, rng = pool_case(data)
-    x += 0.0  # integer sums are exact in any order; -0.0 + 0.0 makes every zero +0.0
-    y, cache = nn.avg_pool_forward(x, pool, stride)
-    assert y.dtype == x.dtype
-    assert np.array_equal(y, windows(x, pool, stride).mean(axis=-1))
-    dy = rng.normal(size=y.shape).astype(x.dtype)
-    dx = nn.avg_pool_backward(dy, cache)
-    expected = scatter_avg_pool_backward(dy, x.shape, pool, stride)
-    assert dx.dtype == x.dtype
-    if stride[0] >= pool[0] and stride[1] >= pool[1]:  # one addition per position
-        assert np.array_equal(dx, expected)
-    else:
-        np.testing.assert_allclose(dx, expected, rtol=1e-6, atol=1e-6)
-
-
 # -- per-channel work at row width ---------------------------------------------
 
 def bn_reference(x, dy, gamma, beta, moving_mean, moving_var, eps):
@@ -412,7 +379,7 @@ def test_eval_max_pool_and_relu_keep_no_cache(data):
 
 def test_pool_gradients_vs_finite_differences():
     net = micro_net(nn.Conv2D(2, (3, 3)), nn.Relu(), nn.MaxPool((2, 2), (2, 2)),
-                    nn.AvgPool((2, 2), (1, 1)), nn.Flatten(), nn.Dense(2),
+                    nn.MaxPool((2, 2), (1, 1)), nn.Flatten(), nn.Dense(2),
                     input_shape=(8, 8, 2))
     check_gradients(net)
 
@@ -554,7 +521,7 @@ def test_gradient_check_flags_faulty_dense_backward_in_every_kind_network(monkey
     net = micro_net(
         nn.Conv2D(4, (3, 3), (1, 1)), nn.BatchNorm(4), nn.Relu(),
         nn.Conv2D(6, (3, 3), (2, 2)), nn.Relu(), nn.Dropout(0.25),
-        nn.MaxPool((2, 2), (1, 1)), nn.AvgPool((2, 2), (1, 1)), nn.Flatten(),
+        nn.MaxPool((2, 2), (1, 1)), nn.MaxPool((2, 2), (1, 1)), nn.Flatten(),
         nn.Dense(8), nn.Relu(), nn.Dropout(0.4), nn.Dense(2),
         input_shape=(10, 10, 3),
     )

@@ -119,7 +119,7 @@ def test_param_shapes_match_init():
 EVERY_KIND = nn.NetworkSpec((10, 10, 3), (
     nn.Conv2D(4, (3, 3), (1, 1)), nn.BatchNorm(4), nn.Relu(),
     nn.Conv2D(6, (3, 3), (2, 2)), nn.Relu(), nn.Dropout(0.25),
-    nn.MaxPool((2, 2), (1, 1)), nn.AvgPool((2, 2), (1, 1)), nn.Flatten(),
+    nn.MaxPool((2, 2), (1, 1)), nn.MaxPool((2, 2), (1, 1)), nn.Flatten(),
     nn.Dense(8), nn.Relu(), nn.Dropout(0.4), nn.Dense(2),
 ))
 
