@@ -54,7 +54,7 @@ from . import __version__
 from .data import DatasetItem, load_dataset, synth_generate, train_val_split_indices
 from .errors import ConfigError, DataError, IntegrityError
 from .imaging import decode_image, extract_histogram_features, extract_raw_features, image_to_tensor
-from .knn import DistanceMetric, k_sweep
+from .knn import DistanceMetric, check_sweep, k_sweep
 from .nn import (
     NetworkSpec,
     ParamState,
@@ -84,7 +84,8 @@ def _config_block(config: dict, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def _atomic_write(path, data: bytes | bytearray) -> None:
+def _atomic_write(path, chunks) -> None:
+    """Write the byte chunks to a temporary file, then rename it over path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # 0o666 less the umask, as open() gives; tempfile.mkstemp would force 0o600
@@ -92,7 +93,7 @@ def _atomic_write(path, data: bytes | bytearray) -> None:
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -102,11 +103,11 @@ def _atomic_write(path, data: bytes | bytearray) -> None:
 
 def _write_csv(path, config, header: str, rows, extra=None) -> None:
     lines = _config_block(config, extra) + [header] + [",".join(str(v) for v in row) for row in rows]
-    _atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _atomic_write(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def _write_json(path, payload: dict) -> None:
-    _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    _atomic_write(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
 # --------------------------------------------------------------------------
@@ -173,17 +174,25 @@ def _entry_header(name: str, shape) -> bytes:
 
 
 def save_checkpoint(params: ParamState, net: NetworkSpec, path) -> None:
-    """Serialize weights, Adam moments, and step; bit-exact round trip."""
+    """Serialize weights, Adam moments, and step; bit-exact round trip.
+
+    The file is hashed and written tensor by tensor: each chunk is a header's
+    bytes or a view of a tensor's own buffer, so no copy of the payload is made.
+    """
     layout = list(_layout(net))
-    out = bytearray(CHECKPOINT_MAGIC)
-    out += struct.pack("<IQI", CHECKPOINT_VERSION, spec_digest(net), len(layout) + 1)
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<IQI", CHECKPOINT_VERSION, spec_digest(net),
+                                            len(layout) + 1)]
     for name, store, i, key, _ in layout:
-        arr = np.asarray(getattr(params, store)[i][key], dtype="<f4")
-        out += _entry_header(name, arr.shape)  # its own shape: a mismatch fails to load
-        out += arr.tobytes()
-    out += _entry_header("step", ()) + np.array(float(params.step), dtype="<f4").tobytes()
-    out += struct.pack("<Q", int.from_bytes(hashlib.sha256(out).digest()[:8], "little"))
-    _atomic_write(path, out)
+        # a view when the tensor is C-contiguous little-endian float32, as Adam keeps it
+        arr = np.ascontiguousarray(getattr(params, store)[i][key], dtype="<f4")
+        # its own shape: a mismatch fails to load
+        chunks += [_entry_header(name, arr.shape), memoryview(arr).cast("B")]
+    chunks += [_entry_header("step", ()), np.array(float(params.step), dtype="<f4").tobytes()]
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    chunks.append(struct.pack("<Q", int.from_bytes(digest.digest()[:8], "little")))
+    _atomic_write(path, chunks)
 
 
 def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
@@ -251,12 +260,13 @@ def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceM
     kind = _FEATURE_KINDS.get(features, features)
     if not 1 <= bins <= _MAX_BINS:
         raise ConfigError(f"bins must be 1 to {_MAX_BINS}, got {bins}")
+    k_values = check_sweep(k_values, folds)  # before the decode, which takes far longer
     dataset = load_dataset(data_dir)
     x, y, skipped = extract_feature_matrix(dataset, kind, bins)
-    reports = k_sweep(x, y, list(k_values), folds, metric, seed)
+    reports = k_sweep(x, y, k_values, folds, metric, seed)
     config = {
         "command": "knn", "data": str(data_dir), "features": kind, "bins": bins,
-        "metric": metric.label, "k": list(int(k) for k in k_values), "folds": folds, "seed": seed,
+        "metric": metric.label, "k": k_values, "folds": folds, "seed": seed,
     }
     rows = [
         (kind, metric.label, rep.k, fold, repr(float(acc)))

@@ -155,6 +155,29 @@ def _fold_sorted_labels(features, labels, assignment, folds, metric, max_k):
     return per_fold
 
 
+def check_sweep(k_values, folds: int) -> list[int]:
+    """k_values as ints, once they are known to be distinct and >= 1 and folds >= 2.
+
+    A sweep's callers run this before any costly work, such as decoding a
+    dataset; the messages name a bad value, never the whole list.
+    """
+    k_values = [int(k) for k in k_values]
+    if not k_values:
+        raise ConfigError("k_values must be non-empty")
+    bad = [k for k in k_values if k < 1]
+    if bad:
+        raise ConfigError(f"k_values must be positive integers: {len(bad)} of {len(k_values)} "
+                          f"are not, the first k={bad[0]}")
+    seen = set()
+    for k in k_values:
+        if k in seen:
+            raise ConfigError(f"k={k} is listed more than once; each k gets one row per fold")
+        seen.add(k)
+    if folds < 2:
+        raise ConfigError(f"folds must be >= 2, got {folds}")
+    return k_values
+
+
 def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
             metric: DistanceMetric = EUCLIDEAN, seed: int = 0) -> list[CvReport]:
     """Stratified k-fold cross-validation for each k, all sharing one fold assignment.
@@ -162,17 +185,10 @@ def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
     Neighbour lists are computed once up to max(k_values), so sweep curves
     are directly comparable and cheap.
     """
+    k_values = check_sweep(k_values, folds)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     _check_training_set(features, labels)
-    k_values = [int(k) for k in k_values]
-    if not k_values or min(k_values) < 1:
-        raise ConfigError(f"k_values must be non-empty positive integers, got {k_values}")
-    seen = set()
-    for k in k_values:
-        if k in seen:
-            raise ConfigError(f"k={k} is listed more than once; each k gets one row per fold")
-        seen.add(k)
     assignment = stratified_fold_indices(labels, folds, seed)
     fold_hash = fold_assignment_hash(assignment, folds, seed)
     per_fold = _fold_sorted_labels(features, labels, assignment, folds, metric, max(k_values))

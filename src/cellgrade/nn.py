@@ -16,9 +16,12 @@ A network is a NetworkSpec (ordered layer descriptions); its weights live in
 a separate ParamState. Forward passes are pure: every layer returns (y,
 cache), a train-mode batch norm's cache holds its pending moving statistics
 beside what its backward reads, and the training loop commits them after
-the Adam step; eval passes keep no cache. A ParamState belongs to one
-training loop at a time; evaluation against a snapshot of it is safe from
-any number of threads.
+the Adam step; eval passes keep no cache. Backward is a generator that hands
+each layer's gradients, last layer first, to adam_step as soon as they
+exist and drops that layer's cache, so a training step holds one layer's
+gradients at a time (the fused update of LOMO, arXiv 2306.09782). A
+ParamState belongs to one training loop at a time; evaluation against a
+snapshot of it is safe from any number of threads.
 """
 
 from __future__ import annotations
@@ -513,7 +516,9 @@ def dropout_forward(x, rate: float, rng: SeededPrng | None):
     """Inverted dropout (train mode): survivors scaled by 1/(1-rate); that scale is the cache."""
     if rng is None:
         raise ConfigError("train-mode dropout needs a SeededPrng")
-    mask = rng.uniform(x.shape) >= rate
+    # uniform() is (w >> 11) * 2^-53, so uniform() >= rate exactly when the raw
+    # word w >= ceil(rate * 2^53) << 11: the same mask from the same words
+    mask = rng.u64(x.size).reshape(x.shape) >= np.uint64(math.ceil(rate * 2.0**53) << 11)
     scale = mask.astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
     return x * scale, scale
 
@@ -579,54 +584,63 @@ _ADAM_BLOCK = 1 << 15  # elements per Adam block; a block of its six arrays stay
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-7  # b1, b2 and eps below
 
 
-def adam_step(params: ParamState, grads: list[dict[str, np.ndarray]],
-              lr: float = 1e-3) -> ParamState:
+def adam_step(params: ParamState, grads, lr: float = 1e-3) -> ParamState:
     """One bias-corrected Adam update over every trainable tensor, in place.
 
-    Each tensor is walked in blocks of _ADAM_BLOCK elements so the temporaries
-    stay in cache. Per element the operations and their order are those of
+    grads is an iterable of (layer index, {key: gradient}) pairs in any layer
+    order, such as network_backward's generator: each layer is updated as
+    its pair arrives and its gradients are dropped before the next is drawn.
+    The step count t moves once per call. Each tensor is walked in blocks of
+    _ADAM_BLOCK elements so the temporaries stay in cache. Per element the
+    operations and their order are those of
         m <- b1*m + (1-b1)*g;  v <- b2*v + ((1-b2)*g)*g
         p <- p - (lr * (m/c1)) / (sqrt(v/c2) + eps)
     with c1 = 1 - b1^t and c2 = 1 - b2^t, all in the parameter's dtype.
     Batch-norm moving statistics are not trainable and are never touched.
     """
     params.step += 1
-    t = params.step
-    for p, m, v, g in zip(params.layers, params.adam_m, params.adam_v, grads):
-        for key, grad in g.items():
-            if grad.shape != p[key].shape:
-                raise ShapeError(f"adam_step: grad {grad.shape} vs param {p[key].shape} for {key!r}")
-            dt = p[key].dtype
-            b1, b2 = np.asarray(_ADAM_BETA1, dt), np.asarray(_ADAM_BETA2, dt)
-            k1, k2 = 1 - b1, 1 - b2
-            c1, c2 = np.asarray(1.0 - _ADAM_BETA1**t, dt), np.asarray(1.0 - _ADAM_BETA2**t, dt)
-            lr_dt, eps_dt = np.asarray(lr, dt), np.asarray(_ADAM_EPS, dt)
-            tensors = (p[key], m[key], v[key])
-            pf, mf, vf = flats = [a.reshape(-1) for a in tensors]  # copies if not contiguous
-            gf = grad.reshape(-1)
-            buf_a, buf_b = np.empty((2, min(gf.size, _ADAM_BLOCK)), dt)
-            for lo in range(0, gf.size, _ADAM_BLOCK):
-                blk = slice(lo, lo + _ADAM_BLOCK)
-                gb, pb, mb, vb = gf[blk], pf[blk], mf[blk], vf[blk]
-                a, b = buf_a[: gb.size], buf_b[: gb.size]
-                np.multiply(mb, b1, out=mb)
-                np.multiply(gb, k1, out=a)
-                np.add(mb, a, out=mb)
-                np.multiply(vb, b2, out=vb)
-                np.multiply(gb, k2, out=a)
-                np.multiply(a, gb, out=a)
-                np.add(vb, a, out=vb)
-                np.divide(mb, c1, out=a)
-                np.multiply(a, lr_dt, out=a)
-                np.divide(vb, c2, out=b)
-                np.sqrt(b, out=b)
-                np.add(b, eps_dt, out=b)
-                np.divide(a, b, out=a)
-                np.subtract(pb, a, out=pb)
-            for tensor, flat in zip(tensors, flats):
-                if not np.may_share_memory(tensor, flat):
-                    tensor[...] = flat.reshape(tensor.shape)
+    for i, layer_grads in grads:
+        _adam_layer(params.layers[i], params.adam_m[i], params.adam_v[i], layer_grads,
+                    params.step, lr)
+        del layer_grads  # else it lives on while the next pair is computed
     return params
+
+
+def _adam_layer(p, m, v, grads, t: int, lr: float) -> None:
+    """adam_step's update of one layer's tensors at step t."""
+    for key, grad in grads.items():
+        if grad.shape != p[key].shape:
+            raise ShapeError(f"adam_step: grad {grad.shape} vs param {p[key].shape} for {key!r}")
+        dt = p[key].dtype
+        b1, b2 = np.asarray(_ADAM_BETA1, dt), np.asarray(_ADAM_BETA2, dt)
+        k1, k2 = 1 - b1, 1 - b2
+        c1, c2 = np.asarray(1.0 - _ADAM_BETA1**t, dt), np.asarray(1.0 - _ADAM_BETA2**t, dt)
+        lr_dt, eps_dt = np.asarray(lr, dt), np.asarray(_ADAM_EPS, dt)
+        tensors = (p[key], m[key], v[key])
+        pf, mf, vf = flats = [a.reshape(-1) for a in tensors]  # copies if not contiguous
+        gf = grad.reshape(-1)
+        buf_a, buf_b = np.empty((2, min(gf.size, _ADAM_BLOCK)), dt)
+        for lo in range(0, gf.size, _ADAM_BLOCK):
+            blk = slice(lo, lo + _ADAM_BLOCK)
+            gb, pb, mb, vb = gf[blk], pf[blk], mf[blk], vf[blk]
+            a, b = buf_a[: gb.size], buf_b[: gb.size]
+            np.multiply(mb, b1, out=mb)
+            np.multiply(gb, k1, out=a)
+            np.add(mb, a, out=mb)
+            np.multiply(vb, b2, out=vb)
+            np.multiply(gb, k2, out=a)
+            np.multiply(a, gb, out=a)
+            np.add(vb, a, out=vb)
+            np.divide(mb, c1, out=a)
+            np.multiply(a, lr_dt, out=a)
+            np.divide(vb, c2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, eps_dt, out=b)
+            np.divide(a, b, out=a)
+            np.subtract(pb, a, out=pb)
+        for tensor, flat in zip(tensors, flats):
+            if not np.may_share_memory(tensor, flat):
+                tensor[...] = flat.reshape(tensor.shape)
 
 
 # --------------------------------------------------------------------------
@@ -656,23 +670,26 @@ def network_forward(net: NetworkSpec, params: ParamState, batch: np.ndarray,
     return h, caches
 
 
-def network_backward(net: NetworkSpec, params: ParamState, caches: list,
-                     dlogits: np.ndarray) -> list[dict[str, np.ndarray]]:
-    """Backpropagate dlogits through train-mode caches; returns per-layer grads.
+def network_backward(net: NetworkSpec, params: ParamState, caches: list, dlogits: np.ndarray):
+    """Backpropagate dlogits through train-mode caches, yielding (layer index,
+    {key: gradient}) for every layer, from the last layer to the first.
 
-    Nothing reads the input gradient of layer 0, so that layer computes its
-    parameter gradients alone.
+    Once layer i's backward has run, caches[i] is dropped: a batch norm's
+    entry keeps only its pending statistics, as (None, (new_mean, new_var))
+    for commit_bn_updates, and every other entry becomes None. Nothing reads
+    the input gradient of layer 0, so that layer computes its parameter
+    gradients alone.
     """
-    grads: list[dict[str, np.ndarray]] = []
     g = dlogits
     for i in reversed(range(len(net.layers))):
-        lay, cache = net.layers[i], caches[i]
+        lay = net.layers[i]
         if i:
-            g, *param_grads = lay.backward(g, cache)
+            g, *param_grads = lay.backward(g, caches[i])
         else:
-            param_grads = lay.param_backward(g, cache)
-        grads.append(dict(zip(lay.trainable, param_grads)))
-    return grads[::-1]
+            param_grads = lay.param_backward(g, caches[i])
+        caches[i] = (None, caches[i][1]) if lay.kind == "batch_norm" else None
+        yield i, dict(zip(lay.trainable, param_grads))
+        del param_grads  # else this layer's gradients live on through the next backward
 
 
 def commit_bn_updates(net: NetworkSpec, params: ParamState, caches: list) -> None:
@@ -713,9 +730,9 @@ def train_epoch(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarr
     for idx in (order[lo : lo + batch_size] for lo in range(0, n, batch_size)):
         logits, caches = network_forward(net, params, x[idx], "train", rng)
         _, _, dlogits = softmax_cross_entropy(logits, y[idx])
+        # each layer's parameters move as soon as its gradients exist
         adam_step(params, network_backward(net, params, caches, dlogits), lr)
         commit_bn_updates(net, params, caches)
-        del caches  # else the next step's forward runs with this step's caches alive
 
 
 def evaluate(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarray,
@@ -768,7 +785,7 @@ def gradient_check(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.nd
     rng = SeededPrng(seed)
     logits, caches = network_forward(net, params, x, "train", rng)
     _, _, dlogits = softmax_cross_entropy(logits, y)
-    analytic = network_backward(net, params, caches, dlogits)
+    analytic = dict(network_backward(net, params, caches, dlogits))
 
     def loss_at() -> float:
         logits, _ = network_forward(net, params, x, "train", SeededPrng(seed))

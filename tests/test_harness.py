@@ -99,6 +99,23 @@ def test_checkpoint_io_copies_its_payload_at_most_once(tmp_path):
     assert all(a.flags.writeable for layer in loaded.layers for a in layer.values())
 
 
+def test_checkpoint_save_streams_its_tensors(tmp_path):
+    """save_checkpoint hashes and writes each tensor's own buffer, so it holds
+    no copy of the payload (test_checkpoint_bytes_are_pinned pins the bytes)."""
+    net = nn.reduced_network()
+    params = nn.init_params(net, 3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(params, net, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        save_checkpoint(params, net, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * size, peak / size
+
+
 def test_checkpoint_wrong_magic(tmp_path, net_and_params):
     net, params = net_and_params
     path = tmp_path / "m.ckpt"
@@ -173,6 +190,20 @@ def test_cmd_knn_row_count_and_schema(small_synth, tmp_path):
     assert [r["k"] for r in summary["results"]] == [1, 5, 10]
     assert summary["fold_hash"]
     assert summary["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("k_values,folds,match", [
+    ([1, 1], 4, "listed more than once"), ([0, 3], 4, "positive"), ([], 4, "non-empty"),
+    ([3], 1, "folds must be >= 2"),
+])
+def test_cmd_knn_checks_k_and_folds_before_decoding(small_synth, monkeypatch, k_values, folds,
+                                                    match):
+    def no_decode(raw):
+        raise AssertionError("decoded before the k and folds check")
+
+    monkeypatch.setattr(harness, "decode_image", no_decode)
+    with pytest.raises(ConfigError, match=match):
+        harness.cmd_knn(small_synth, k_values=k_values, folds=folds)
 
 
 def test_cmd_knn_rerun_is_byte_identical(small_synth, tmp_path):

@@ -251,6 +251,17 @@ def test_k_sweep_rejects_repeated_k(k_values, repeated):
         k_sweep(x, y, k_values, folds=2)
 
 
+def test_k_sweep_error_names_the_count_not_the_list():
+    """A 2^20-value k list with bad values gives a one-line message, not the list."""
+    from cellgrade.cli import parse_k_list
+
+    x, y = separable_set(n=4)
+    with pytest.raises(ConfigError) as exc:
+        k_sweep(x, y, parse_k_list("0-1048575"), folds=2)
+    message = str(exc.value)
+    assert len(message) < 200 and "1 of 1048576" in message and "k=0" in message, message
+
+
 def test_cross_validate_fold_too_small():
     x, y = separable_set(n=8)
     with pytest.raises(ConfigError, match="fewer than k"):

@@ -179,6 +179,19 @@ def test_dropout_backward_is_bytewise_the_mask_formula(dtype, rate):
         assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
 
 
+@pytest.mark.parametrize("rate", [0.1, 0.25, 0.5])
+def test_dropout_mask_from_raw_words_is_the_uniform_mask(rate):
+    """The raw-word compare keeps exactly the units uniform() >= rate keeps, and
+    consumes the same words: the next draw matches too."""
+    shape = (4, 7, 7, 8)
+    x = np.ones(shape, dtype=np.float32)
+    for seed in range(20):
+        rng, replay = SeededPrng(seed), SeededPrng(seed)
+        _, scale = nn.dropout_forward(x, rate, rng)
+        assert np.array_equal(scale > 0, replay.uniform(shape) >= rate), seed
+        assert rng.next_u64() == replay.next_u64(), seed
+
+
 # -- pooling ------------------------------------------------------------------
 
 def test_pool_window_example():
@@ -479,7 +492,7 @@ def test_first_layer_skips_only_its_input_gradient(monkeypatch):
         return col2im(dcols, x_shape, sh, sw)
 
     monkeypatch.setattr(nn, "_col2im", counting_col2im)
-    grads = nn.network_backward(net, params, cache, dlogits)
+    grads = dict(nn.network_backward(net, params, list(cache), dlogits))  # a copy: backward empties it
     assert col2im_calls == [(4, 14, 14, 32), (4, 30, 30, 16)]  # layers 7 and 3, not 0
     g = dlogits
     for lay, layer_cache in zip(net.layers[:0:-1], cache[:0:-1]):

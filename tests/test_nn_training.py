@@ -33,7 +33,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     params = nn.init_params(net, 0)
     before = clone(params)
     grads = [{k: np.zeros_like(v) for k, v in layer.items()} for layer in params.layers]
-    nn.adam_step(params, grads, lr=0.1)
+    nn.adam_step(params, enumerate(grads), lr=0.1)
     assert params.step == 1
     for la, lb in zip(params.layers, before.layers):
         for k in la:
@@ -45,7 +45,7 @@ def test_adam_first_step_magnitude_is_lr():
     params = nn.init_params(net, 1, dtype=np.float64)
     w0 = params.layers[0]["weights"].copy()
     grads = [{"weights": np.ones((1, 1)), "bias": np.zeros(1)}]
-    nn.adam_step(params, grads, lr=0.01)
+    nn.adam_step(params, enumerate(grads), lr=0.01)
     delta = (w0 - params.layers[0]["weights"]).item()
     assert delta == pytest.approx(0.01, rel=1e-5)  # bias-corrected first step
 
@@ -59,7 +59,7 @@ def test_adam_minimizes_quadratic():
     for _ in range(100):
         w = params.layers[0]["weights"]
         grads = [{"weights": 2.0 * w, "bias": np.zeros(1)}]
-        nn.adam_step(params, grads, lr=0.1)
+        nn.adam_step(params, enumerate(grads), lr=0.1)
         trace.append(abs(params.layers[0]["weights"].item()))
     assert trace[-1] < 1.0
     # strictly decreasing after burn-in, all the way down to the optimum's
@@ -76,7 +76,7 @@ def test_adam_shape_mismatch():
     grads = [{} for _ in net.layers]
     grads[0] = {"kernel": np.zeros((1, 1, 1, 1)), "bias": np.zeros(3)}
     with pytest.raises(Exception, match="kernel"):
-        nn.adam_step(params, grads)
+        nn.adam_step(params, enumerate(grads))
 
 
 def test_adam_never_touches_moving_statistics():
@@ -88,7 +88,7 @@ def test_adam_never_touches_moving_statistics():
              else {} for i in range(4)]
     grads[3] = {"weights": np.ones_like(params.layers[3]["weights"]),
                 "bias": np.ones_like(params.layers[3]["bias"])}
-    nn.adam_step(params, grads)
+    nn.adam_step(params, enumerate(grads))
     np.testing.assert_array_equal(params.layers[1]["moving_mean"], np.full(3, 0.37, dtype=np.float32))
     np.testing.assert_array_equal(params.layers[1]["moving_var"], np.ones(3, dtype=np.float32))
 
@@ -122,7 +122,7 @@ def test_adam_step_is_bytewise_the_unfused_update(dtype, size):
     held = blocked.layers[0]["w"]
     for _ in range(3):
         grads = [{"w": rng.normal(size=size).astype(dtype)}]
-        nn.adam_step(blocked, grads, lr=3e-3)
+        nn.adam_step(blocked, enumerate(grads), lr=3e-3)
         adam_unfused(unfused, grads, lr=3e-3)
     for name in ("layers", "adam_m", "adam_v"):
         a, b = getattr(blocked, name)[0]["w"], getattr(unfused, name)[0]["w"]
@@ -138,11 +138,74 @@ def test_adam_step_updates_non_contiguous_tensors_in_place():
     held = [getattr(blocked, name)[0]["w"] for name in ("layers", "adam_m", "adam_v")]
     for _ in range(3):
         grads = [{"w": rng.normal(size=(30, 40)).astype(np.float32)}]
-        nn.adam_step(blocked, grads, lr=1e-2)
+        nn.adam_step(blocked, enumerate(grads), lr=1e-2)
         adam_unfused(unfused, grads, lr=1e-2)
     for name, array in zip(("layers", "adam_m", "adam_v"), held):
         assert getattr(blocked, name)[0]["w"] is array
         assert np.array_equal(array, getattr(unfused, name)[0]["w"]), name
+
+
+def reduced_step_inputs(seed=31):
+    net = nn.reduced_network()
+    params = nn.init_params(net, seed)
+    x = SeededPrng(seed + 1).uniform((8, 32, 32, 3)).astype(np.float32)
+    return net, params, x, np.arange(8) % 2
+
+
+def backward_of_one_step(net, params, x, y, seed):
+    logits, caches = nn.network_forward(net, params, x, "train", SeededPrng(seed))
+    _, _, dlogits = nn.softmax_cross_entropy(logits, y)
+    return caches, nn.network_backward(net, params, caches, dlogits)
+
+
+def test_adam_step_gives_the_same_bytes_in_either_layer_order():
+    """Fed straight from backward, last layer first, Adam moves every tensor as
+    an update in layer order after the whole backward pass does."""
+    net, fused, x, y = reduced_step_inputs()
+    in_order = clone(fused)
+    for seed in range(3):
+        nn.adam_step(fused, backward_of_one_step(net, fused, x, y, seed)[1], lr=1e-2)
+        grads = dict(backward_of_one_step(net, in_order, x, y, seed)[1])
+        assert list(grads) == list(reversed(range(len(net.layers))))
+        nn.adam_step(in_order, sorted(grads.items()), lr=1e-2)
+    assert fused.step == in_order.step == 3
+    for name in ("layers", "adam_m", "adam_v"):
+        for a, b in zip(getattr(fused, name), getattr(in_order, name)):
+            assert a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def test_exhausted_backward_leaves_only_pending_statistics():
+    net, params, x, y = reduced_step_inputs()
+    caches, pairs = backward_of_one_step(net, params, x, y, 5)
+    pending = [cache[1] if lay.kind == "batch_norm" else None
+               for lay, cache in zip(net.layers, caches)]
+    for _ in pairs:
+        pass
+    for lay, cache, statistics in zip(net.layers, caches, pending):
+        if lay.kind == "batch_norm":
+            assert cache[0] is None and cache[1] is statistics
+        else:
+            assert cache is None
+    assert sum(p is not None for p in pending) == 3
+
+
+def test_reference_train_step_holds_one_layers_gradients():
+    """One reference-net step at batch 8 peaks well below its 31.9 MB of gradients
+    plus every layer's cache, which a backward returning all gradients at once
+    holds together: that reads 1.84x the trainable bytes, a fused step 1.22x."""
+    net = nn.reference_network()
+    params = nn.init_params(net, 1)
+    x = SeededPrng(2).uniform((8, 64, 64, 3)).astype(np.float32)
+    y = np.arange(8) % 2
+    nn.train_epoch(net, params, x, y, 8, SeededPrng(3))  # Adam's first step, outside the trace
+    trainable_bytes = 4 * nn.count_params(net)[1]
+    tracemalloc.start()
+    try:
+        nn.train_epoch(net, params, x, y, 8, SeededPrng(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * trainable_bytes, peak / trainable_bytes
 
 
 # -- forward/eval determinism ---------------------------------------------------
