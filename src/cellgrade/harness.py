@@ -35,14 +35,14 @@ checkpoint. Loading verifies magic, version, checksum, and spec digest, in
 that order, and fails with a distinct message for each. It then reads the
 file against the network's own layout: the tensor count, and every entry's
 name, rank and dims, must be exactly the expected ones, so no size is taken
-from the file.
+from the file. The file is streamed: loading allocates the tensors and
+fixed-size read buffers, never a copy of the file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import secrets
 import struct
@@ -70,6 +70,7 @@ from .prng import SeededPrng
 
 CHECKPOINT_MAGIC = b"MCLS"
 CHECKPOINT_VERSION = 1
+_READ_BLOCK = 1 << 20  # bytes per read while a checkpoint's checksum is computed
 
 KNN_CSV_HEADER = "feature,metric,k,fold,accuracy"
 CNN_CSV_HEADER = "epoch,train_loss,train_acc,val_loss,val_acc"
@@ -196,50 +197,57 @@ def save_checkpoint(params: ParamState, net: NetworkSpec, path) -> None:
 
 
 def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
-    """Rebuild a ParamState for `net`, reading the file against `net`'s own layout."""
-    data = Path(path).read_bytes()
-    if len(data) < 28:
-        raise IntegrityError(f"checkpoint too small ({len(data)} bytes) to be valid")
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise IntegrityError(f"bad magic {data[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
-    (version,) = struct.unpack("<I", data[4:8])
-    if version != CHECKPOINT_VERSION:
-        raise IntegrityError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    stored = struct.unpack("<Q", data[-8:])[0]
-    payload = memoryview(data)[:-8]  # read in place: no copy of the payload
-    actual = int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
+    """Rebuild a ParamState for `net`, reading the file against `net`'s own layout.
+
+    One pass reads each entry the layout expects straight into its tensor,
+    hashing what it keeps, then hashes the rest in _READ_BLOCK reads; the
+    checks follow in their documented order. So the tensors are the bytes the
+    checksum covered, and the file is never held whole.
+    """
+    layout = list(_layout(net))
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size - 8  # the payload: all but the checksum
+        if end < 20:
+            raise IntegrityError(f"checkpoint too small ({end + 8} bytes) to be valid")
+        head = f.read(20)  # magic, version, spec digest and tensor count
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise IntegrityError(f"bad magic {head[:4]!r}, expected {CHECKPOINT_MAGIC!r}")
+        version, digest, count = struct.unpack("<IQI", head[4:])
+        if version != CHECKPOINT_VERSION:
+            raise IntegrityError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
+        hashed, tensors, misplaced = hashlib.sha256(head), [], None
+        for name, *_, shape in [*layout, ("step", ())]:
+            header, arr, pos = _entry_header(name, shape), np.empty(shape, "<f4"), f.tell()
+            values = memoryview(arr.reshape(-1)).cast("B")
+            hashed.update(got := f.read(min(len(header), end - pos)))
+            if got != header or pos + len(header) + values.nbytes > end:
+                misplaced = f"expected tensor {name!r} of shape {shape} at offset {pos}"
+                break
+            f.readinto(values)  # a short read leaves bytes the checksum then rejects
+            hashed.update(values)
+            tensors.append(arr.astype(np.float32, copy=False))  # writable: Adam updates it
+        last = f.tell()
+        for lo in range(last, end, _READ_BLOCK):
+            hashed.update(f.read(min(_READ_BLOCK, end - lo)))
+        stored = int.from_bytes(f.read(8), "little")
+    actual = int.from_bytes(hashed.digest()[:8], "little")
     if stored != actual:
         raise IntegrityError(f"payload checksum mismatch: stored {stored:#x}, computed {actual:#x}")
-    digest, count = struct.unpack_from("<QI", payload, 8)
     expected = spec_digest(net)
     if digest != expected:
-        raise IntegrityError(
-            f"spec digest mismatch: checkpoint has {digest:#x}, network is {expected:#x}"
-        )
-    layout = list(_layout(net))
+        raise IntegrityError(f"spec digest mismatch: checkpoint has {digest:#x}, network is {expected:#x}")
     if count != len(layout) + 1:
         raise IntegrityError(f"checkpoint has {count} tensors, expected {len(layout) + 1}")
-    pos = 20  # after magic, version, spec digest and tensor count
-
-    def take(name: str, shape) -> np.ndarray:
-        """The next entry's values, if it is `name` at `shape` and whole."""
-        nonlocal pos
-        header, size = _entry_header(name, shape), math.prod(shape)
-        start = pos + len(header)
-        if payload[pos:start] != header or start + 4 * size > len(payload):
-            raise IntegrityError(f"expected tensor {name!r} of shape {shape} at offset {pos}")
-        pos = start + 4 * size
-        # a writable copy: Adam updates it
-        return np.frombuffer(payload, "<f4", size, start).reshape(shape).astype(np.float32)
-
-    stores = {store: [{} for _ in net.layers] for store in ("layers", "adam_m", "adam_v")}
-    for name, store, i, key, shape in layout:
-        stores[store][i][key] = take(name, shape)
-    step = float(take("step", ()))
+    if misplaced:
+        raise IntegrityError(misplaced)
+    step = float(tensors.pop())
     if not (step >= 0 and step.is_integer()):  # NaN and infinities fail too
         raise IntegrityError(f"step must be a non-negative integer, got {step}")
-    if pos != len(payload):
-        raise IntegrityError(f"{len(payload) - pos} trailing bytes after the last tensor")
+    if last != end:
+        raise IntegrityError(f"{end - last} trailing bytes after the last tensor")
+    stores = {store: [{} for _ in net.layers] for store in ("layers", "adam_m", "adam_v")}
+    for (_, store, i, key, _), arr in zip(layout, tensors):
+        stores[store][i][key] = arr
     return ParamState(**stores, step=int(step)), digest
 
 

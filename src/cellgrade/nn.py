@@ -3,7 +3,10 @@
 Layer types: valid-padding convolution, batch normalization, inverted
 dropout, max pooling, flatten, dense, ReLU, and a softmax
 cross-entropy head. Convolution is cross-correlation (no kernel flip) over
-im2col windows; pooling loops over window offsets, one strided slice each.
+im2col windows, built in chunks of whole images; a conv caches its input, not
+its windows, and backward rebuilds them (arXiv 1604.06174), so no layer may
+write into its input: each writes only arrays it made. Pooling loops over
+window offsets, one strided slice each.
 Tensors are plain C-order numpy arrays; float32 for training, float64 for
 gradient checking. Every kernel computes in its input's dtype, so a float32
 training step runs in float32 end to end. Per-channel broadcasts and
@@ -401,11 +404,15 @@ def _offsets(window, stride, out_hw):
             yield np.s_[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :]
 
 
-def _im2col(x: np.ndarray, wh: int, ww: int, sh: int, sw: int) -> np.ndarray:
-    """Copy out strided windows: (N, OH, OW, wh, ww, C). Convolution alone needs them."""
+def _im2col(x: np.ndarray, wh: int, ww: int, sh: int, sw: int, out=None) -> np.ndarray:
+    """Copy out strided windows: (N, OH, OW, wh, ww, C), into out if given.
+    Convolution alone needs them."""
     win = sliding_window_view(x, (wh, ww), axis=(1, 2))  # N, H', W', C, wh, ww
-    win = win[:, ::sh, ::sw]
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+    win = win[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3)
+    if out is None:
+        return np.ascontiguousarray(win)
+    out[...] = win
+    return out
 
 
 def _col2im(dcols: np.ndarray, x_shape, sh: int, sw: int) -> np.ndarray:
@@ -430,33 +437,47 @@ def _fold(col_sums, c: int):
     return col_sums.reshape(-1, c).sum(axis=0)
 
 
+_CONV_CHUNK = 1 << 21  # window elements per forward chunk of whole images (at least one)
+
+
 def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
                    stride: tuple[int, int]):
-    """Valid cross-correlation of (N,H,W,C) with kernel (kh,kw,C,F) plus bias."""
+    """Valid cross-correlation of (N,H,W,C) with kernel (kh,kw,C,F) plus bias.
+
+    Windows are copied into one buffer and multiplied into y's rows in chunks
+    of whole images, _CONV_CHUNK elements or one image. The cache holds x itself.
+    """
     n, c = x.shape[0], x.shape[-1]
     kh, kw, kc, f = kernel.shape
     if kc != c:
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {kc}")
     oh, ow = _window_shape(x.shape[1:], (kh, kw), stride)
-    flat = _im2col(x, kh, kw, *stride).reshape(n * oh * ow, kh * kw * c)
-    y = (flat @ kernel.reshape(kh * kw * c, f)).reshape(n, oh, ow, f)
+    step = max(1, _CONV_CHUNK // (oh * ow * kh * kw * c))  # whole images per chunk
+    kmat = kernel.reshape(kh * kw * c, f)
+    buf = np.empty((min(n, step), oh, ow, kh, kw, c), dtype=x.dtype)
+    y = np.empty((n, oh, ow, f), dtype=np.result_type(x, kernel))
+    for lo in range(0, n, step):
+        win = _im2col(x[lo : lo + step], kh, kw, *stride, out=buf[: n - lo])
+        np.matmul(win.reshape(-1, len(kmat)), kmat, out=y[lo : lo + step].reshape(-1, f))
     rows, tiled_bias = _rows(y, bias)
     rows += tiled_bias  # in place: y's rows are a view
-    return y, (x.shape, flat, kernel, stride, (oh, ow))
+    return y, (x.shape, x, kernel, stride, (oh, ow))
 
 
 def conv2d_backward(dy: np.ndarray, cache, *, input_grad: bool = True):
-    """Exact gradients: (dx, dkernel, dbias); dx is None when not input_grad."""
-    x_shape, flat, kernel, (sh, sw), (oh, ow) = cache
+    """Exact gradients: (dx, dkernel, dbias); dx is None when not input_grad.
+    Rebuilds the whole batch's windows from x, then overwrites them with dcols."""
+    x_shape, x, kernel, (sh, sw), (oh, ow) = cache
     n, h, w, c = x_shape
     kh, kw, _, f = kernel.shape
+    flat = _im2col(x, kh, kw, sh, sw).reshape(n * oh * ow, kh * kw * c)
     dy_flat = dy.reshape(n * oh * ow, f)
     dkernel = (flat.T @ dy_flat).reshape(kernel.shape)
     dbias = _fold(_rows(dy)[0].sum(axis=0), f)
     if not input_grad:
         return None, dkernel, dbias
-    dcols = (dy_flat @ kernel.reshape(kh * kw * c, f).T).reshape(n, oh, ow, kh, kw, c)
-    return _col2im(dcols, x_shape, sh, sw), dkernel, dbias
+    dcols = np.matmul(dy_flat, kernel.reshape(kh * kw * c, f).T, out=flat)
+    return _col2im(dcols.reshape(n, oh, ow, kh, kw, c), x_shape, sh, sw), dkernel, dbias
 
 
 def batch_norm_forward_train(x, gamma, beta, moving_mean, moving_var, epsilon, momentum):

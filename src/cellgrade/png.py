@@ -216,9 +216,9 @@ def _unfilter_wavefront(data: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
                 cur += left if kind == 1 else up
             else:
                 upleft = line0[lo:hi]
-                key = np.multiply(left, 511, dtype=np.intp)
+                key = _KEY_LEFT.take(left)
                 key += up
-                key -= np.multiply(upleft, 512, dtype=np.intp)
+                key -= _KEY_UPLEFT.take(upleft)
                 if not kind:
                     key += block[lo:hi]
                 cur += upleft + _DELTAS.take(key)
@@ -239,6 +239,8 @@ def _deltas() -> np.ndarray:
 
 
 _DELTAS = _deltas()
+# a key's left and up-left terms, looked up: 511 * k and 512 * k for each byte k
+_KEY_LEFT, _KEY_UPLEFT = np.arange(256, dtype=np.intp) * np.array([[511], [512]], dtype=np.intp)
 
 
 def encode_rgb8(pixels: np.ndarray) -> bytes:

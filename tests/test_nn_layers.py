@@ -367,11 +367,72 @@ def test_conv_bias_add_is_byte_equal_to_flat_matmul_plus_bias(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=(n, h, w, c)).astype(dtype)
     kernel, bias = rng.normal(size=(kh, kw, c, f)).astype(dtype), rng.normal(size=f).astype(dtype)
-    y, (_, flat, *_) = nn.conv2d_forward(x, kernel, bias, (sh, sw))
+    y, cache = nn.conv2d_forward(x, kernel, bias, (sh, sw))
+    assert cache[1] is x and cache[2] is kernel  # the input, not its windows
     win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-    assert np.array_equal(flat, win.transpose(0, 1, 2, 4, 5, 3).reshape(flat.shape))
+    flat = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c)
+    assert np.array_equal(flat, nn._im2col(x, kh, kw, sh, sw).reshape(flat.shape))
     expected = flat @ kernel.reshape(-1, f) + bias
     assert y.dtype == dtype and y.tobytes() == expected.tobytes()
+
+
+# reference layers 3 and 6: (input shape, kernel shape, stride)
+REFERENCE_CONVS = {3: ((31, 31, 64), (3, 3, 64, 128), (2, 2)),
+                   6: ((15, 15, 128), (3, 3, 128, 256), (1, 1))}
+
+
+def reference_conv_case(layer, dtype, n=7):
+    in_shape, k_shape, stride = REFERENCE_CONVS[layer]
+    rng = np.random.default_rng(layer)
+    x = rng.normal(size=(n, *in_shape)).astype(dtype)
+    kernel = rng.normal(size=k_shape).astype(dtype)
+    bias = rng.normal(size=k_shape[-1]).astype(dtype)
+    return x, kernel, bias, stride
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer", [3, 6])
+def test_conv_forward_chunks_whole_images(monkeypatch, layer, dtype):
+    """Each chunk of images is its own im2col GEMM plus bias, byte for byte;
+    chunk sizes agree to rounding (GEMMs of different heights may round
+    differently on some BLAS cores)."""
+    x, kernel, bias, (sh, sw) = reference_conv_case(layer, dtype)
+    kh, kw, c, f = kernel.shape
+    oh, ow = nn._window_shape(x.shape[1:], (kh, kw), (sh, sw))
+    per_image = oh * ow * kh * kw * c
+    outputs = {}
+    for images, chunk in ((1, per_image), (3, 4 * per_image - 1), (7, 7 * per_image)):
+        monkeypatch.setattr(nn, "_CONV_CHUNK", chunk)
+        y, _ = nn.conv2d_forward(x, kernel, bias, (sh, sw))
+        for lo in range(0, len(x), images):
+            win = nn._im2col(x[lo : lo + images], kh, kw, sh, sw).reshape(-1, kh * kw * c)
+            expected = (win @ kernel.reshape(-1, f) + bias).reshape(-1, oh, ow, f)
+            assert y.dtype == dtype and y[lo : lo + images].tobytes() == expected.tobytes()
+        outputs[images] = y
+    rtol = 1e-5 if dtype == np.float32 else 1e-12
+    for images in (1, 3):
+        assert np.allclose(outputs[images], outputs[7], rtol=rtol,
+                           atol=rtol * np.abs(outputs[7]).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer", [3, 6])
+def test_conv_backward_is_the_full_window_formula(layer, dtype):
+    """Backward rebuilds the windows from the cached input; its gradients are
+    those of the whole batch's window matrix, byte for byte."""
+    x, kernel, bias, (sh, sw) = reference_conv_case(layer, dtype, n=3)
+    kh, kw, c, f = kernel.shape
+    y, cache = nn.conv2d_forward(x, kernel, bias, (sh, sw))
+    assert cache[1] is x and cache[2] is kernel
+    dy = np.random.default_rng(layer + 1).normal(size=y.shape).astype(dtype)
+    dx, dkernel, dbias = nn.conv2d_backward(dy, cache)
+    flat = nn._im2col(x, kh, kw, sh, sw).reshape(-1, kh * kw * c)
+    dy_flat = dy.reshape(-1, f)
+    dcols = (dy_flat @ kernel.reshape(-1, f).T).reshape(*y.shape[:3], kh, kw, c)
+    expected = (nn._col2im(dcols, x.shape, sh, sw), (flat.T @ dy_flat).reshape(kernel.shape),
+                nn._fold(nn._rows(dy)[0].sum(axis=0), f))
+    for got, want in zip((dx, dkernel, dbias), expected):
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 @settings(deadline=None, max_examples=150)

@@ -7,6 +7,7 @@ import pytest
 
 from cellgrade import nn
 from cellgrade.errors import ShapeError
+from cellgrade.prng import SeededPrng
 
 # Frozen audit table for the stock 64x64x3 network: rows are the layers that
 # appear in a framework-style summary (activations omitted), as
@@ -122,6 +123,23 @@ EVERY_KIND = nn.NetworkSpec((10, 10, 3), (
     nn.MaxPool((2, 2), (1, 1)), nn.MaxPool((2, 2), (1, 1)), nn.Flatten(),
     nn.Dense(8), nn.Relu(), nn.Dropout(0.4), nn.Dense(2),
 ))
+
+
+def test_no_layer_writes_into_its_input():
+    """A conv's backward rebuilds its windows from the input it cached, so no
+    layer's forward or backward may change the bytes of a layer's input."""
+    params = nn.init_params(EVERY_KIND, 0)
+    h = SeededPrng(1).uniform((4, *EVERY_KIND.input_shape)).astype(np.float32)
+    rng, inputs, caches = SeededPrng(2), [], []
+    for lay, p in zip(EVERY_KIND.layers, params.layers):
+        inputs.append((lay.kind, h, h.tobytes()))
+        h, cache = lay.forward(h, p, True, rng)
+        caches.append(cache)
+    _, _, dlogits = nn.softmax_cross_entropy(h, np.arange(4) % 2)
+    for _ in nn.network_backward(EVERY_KIND, params, caches, dlogits):
+        pass
+    for kind, x, before in inputs:
+        assert x.tobytes() == before, kind
 
 
 @pytest.mark.parametrize("net, dtype, digest", [
