@@ -370,7 +370,8 @@ def test_conv_bias_add_is_byte_equal_to_flat_matmul_plus_bias(data):
     y, cache = nn.conv2d_forward(x, kernel, bias, (sh, sw))
     assert cache[1] is x and cache[2] is kernel  # the input, not its windows
     win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-    flat = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * c)
+    # A contiguous copy, as conv's GEMM reads: a strided view may take another matmul path.
+    flat = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * c)
     assert np.array_equal(flat, nn._im2col(x, kh, kw, sh, sw).reshape(flat.shape))
     expected = flat @ kernel.reshape(-1, f) + bias
     assert y.dtype == dtype and y.tobytes() == expected.tobytes()
