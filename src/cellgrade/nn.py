@@ -404,14 +404,11 @@ def _offsets(window, stride, out_hw):
             yield np.s_[:, i : i + sh * oh : sh, j : j + sw * ow : sw, :]
 
 
-def _im2col(x: np.ndarray, wh: int, ww: int, sh: int, sw: int, out=None) -> np.ndarray:
-    """Copy out strided windows: (N, OH, OW, wh, ww, C), into out if given.
+def _im2col(x: np.ndarray, wh: int, ww: int, sh: int, sw: int, out: np.ndarray) -> np.ndarray:
+    """Copy strided windows into out, (N, OH, OW, wh, ww, C), and return it.
     Convolution alone needs them."""
     win = sliding_window_view(x, (wh, ww), axis=(1, 2))  # N, H', W', C, wh, ww
-    win = win[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3)
-    if out is None:
-        return np.ascontiguousarray(win)
-    out[...] = win
+    out[...] = win[:, ::sh, ::sw].transpose(0, 1, 2, 4, 5, 3)
     return out
 
 
@@ -457,7 +454,7 @@ def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray,
     buf = np.empty((min(n, step), oh, ow, kh, kw, c), dtype=x.dtype)
     y = np.empty((n, oh, ow, f), dtype=np.result_type(x, kernel))
     for lo in range(0, n, step):
-        win = _im2col(x[lo : lo + step], kh, kw, *stride, out=buf[: n - lo])
+        win = _im2col(x[lo : lo + step], kh, kw, *stride, buf[: n - lo])
         np.matmul(win.reshape(-1, len(kmat)), kmat, out=y[lo : lo + step].reshape(-1, f))
     rows, tiled_bias = _rows(y, bias)
     rows += tiled_bias  # in place: y's rows are a view
@@ -470,7 +467,8 @@ def conv2d_backward(dy: np.ndarray, cache, *, input_grad: bool = True):
     x_shape, x, kernel, (sh, sw), (oh, ow) = cache
     n, h, w, c = x_shape
     kh, kw, _, f = kernel.shape
-    flat = _im2col(x, kh, kw, sh, sw).reshape(n * oh * ow, kh * kw * c)
+    buf = np.empty((n, oh, ow, kh, kw, c), dtype=x.dtype)  # its own: dcols overwrite it
+    flat = _im2col(x, kh, kw, sh, sw, buf).reshape(n * oh * ow, kh * kw * c)
     dy_flat = dy.reshape(n * oh * ow, f)
     dkernel = (flat.T @ dy_flat).reshape(kernel.shape)
     dbias = _fold(_rows(dy)[0].sum(axis=0), f)

@@ -65,6 +65,13 @@ def test_conv_strided_gradients():
     check_gradients(net)
 
 
+def test_1x1_and_full_window_conv_gradients():
+    """Behind a first conv, so the input gradient of each is checked too."""
+    net = micro_net(nn.Conv2D(3, (3, 3), (1, 1)), nn.Relu(), nn.Conv2D(4, (1, 1), (1, 1)),
+                    nn.Conv2D(2, (4, 4), (1, 1)), nn.Flatten(), nn.Dense(2))
+    check_gradients(net)
+
+
 # -- batch norm ---------------------------------------------------------------
 
 def test_batch_norm_normalizes_in_train_mode():
@@ -356,6 +363,13 @@ def test_batch_norm_row_kernels_match_float64_reference(data):
         assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
 
 
+def window_matrix(x, kh, kw, sh, sw):
+    """The im2col matrix (N*OH*OW, kh*kw*C) as a fresh contiguous copy, as
+    conv's GEMMs read it: a strided view may take another matmul path."""
+    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * x.shape[-1])
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_conv_bias_add_is_byte_equal_to_flat_matmul_plus_bias(data):
@@ -369,10 +383,9 @@ def test_conv_bias_add_is_byte_equal_to_flat_matmul_plus_bias(data):
     kernel, bias = rng.normal(size=(kh, kw, c, f)).astype(dtype), rng.normal(size=f).astype(dtype)
     y, cache = nn.conv2d_forward(x, kernel, bias, (sh, sw))
     assert cache[1] is x and cache[2] is kernel  # the input, not its windows
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-    # A contiguous copy, as conv's GEMM reads: a strided view may take another matmul path.
-    flat = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * c)
-    assert np.array_equal(flat, nn._im2col(x, kh, kw, sh, sw).reshape(flat.shape))
+    flat = window_matrix(x, kh, kw, sh, sw)
+    buf = np.empty((n, *y.shape[1:3], kh, kw, c), dtype=dtype)
+    assert np.array_equal(flat, nn._im2col(x, kh, kw, sh, sw, buf).reshape(flat.shape))
     expected = flat @ kernel.reshape(-1, f) + bias
     assert y.dtype == dtype and y.tobytes() == expected.tobytes()
 
@@ -406,7 +419,7 @@ def test_conv_forward_chunks_whole_images(monkeypatch, layer, dtype):
         monkeypatch.setattr(nn, "_CONV_CHUNK", chunk)
         y, _ = nn.conv2d_forward(x, kernel, bias, (sh, sw))
         for lo in range(0, len(x), images):
-            win = nn._im2col(x[lo : lo + images], kh, kw, sh, sw).reshape(-1, kh * kw * c)
+            win = window_matrix(x[lo : lo + images], kh, kw, sh, sw)
             expected = (win @ kernel.reshape(-1, f) + bias).reshape(-1, oh, ow, f)
             assert y.dtype == dtype and y[lo : lo + images].tobytes() == expected.tobytes()
         outputs[images] = y
@@ -416,18 +429,35 @@ def test_conv_forward_chunks_whole_images(monkeypatch, layer, dtype):
                            atol=rtol * np.abs(outputs[7]).max())
 
 
+# Convs whose strided window view of x is already C-contiguous, so a window
+# "copy" that skips contiguous input would alias x: (input shape, kernel shape, stride)
+ALIASING_CONVS = {"1x1": ((5, 5, 3), (1, 1, 3, 4), (1, 1)),
+                  "full-window": ((4, 4, 3), (4, 4, 3, 2), (1, 1))}
+
+
+def aliasing_conv_case(name, dtype, n=3):
+    in_shape, k_shape, stride = ALIASING_CONVS[name]
+    rng = np.random.default_rng(len(name))
+    return (rng.normal(size=(n, *in_shape)).astype(dtype),
+            rng.normal(size=k_shape).astype(dtype), rng.normal(size=k_shape[-1]).astype(dtype),
+            stride)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("layer", [3, 6])
-def test_conv_backward_is_the_full_window_formula(layer, dtype):
+@pytest.mark.parametrize("case", [3, 6, "1x1", "full-window"])
+def test_conv_backward_is_the_full_window_formula(case, dtype):
     """Backward rebuilds the windows from the cached input; its gradients are
-    those of the whole batch's window matrix, byte for byte."""
-    x, kernel, bias, (sh, sw) = reference_conv_case(layer, dtype, n=3)
+    those of the whole batch's window matrix, byte for byte, and x is untouched."""
+    make = reference_conv_case if case in REFERENCE_CONVS else aliasing_conv_case
+    x, kernel, bias, (sh, sw) = make(case, dtype, n=3)
+    x_bytes = x.tobytes()
     kh, kw, c, f = kernel.shape
     y, cache = nn.conv2d_forward(x, kernel, bias, (sh, sw))
     assert cache[1] is x and cache[2] is kernel
-    dy = np.random.default_rng(layer + 1).normal(size=y.shape).astype(dtype)
+    dy = np.random.default_rng(kh + c).normal(size=y.shape).astype(dtype)
     dx, dkernel, dbias = nn.conv2d_backward(dy, cache)
-    flat = nn._im2col(x, kh, kw, sh, sw).reshape(-1, kh * kw * c)
+    assert x.tobytes() == x_bytes
+    flat = window_matrix(x, kh, kw, sh, sw)
     dy_flat = dy.reshape(-1, f)
     dcols = (dy_flat @ kernel.reshape(-1, f).T).reshape(*y.shape[:3], kh, kw, c)
     expected = (nn._col2im(dcols, x.shape, sh, sw), (flat.T @ dy_flat).reshape(kernel.shape),

@@ -125,18 +125,27 @@ EVERY_KIND = nn.NetworkSpec((10, 10, 3), (
 ))
 
 
-def test_no_layer_writes_into_its_input():
+# 1x1 and full-window convs behind a first conv: their strided window views of
+# the input are already C-contiguous.
+ALIASING_CONVS = nn.NetworkSpec((6, 6, 3), (
+    nn.Conv2D(3, (3, 3), (1, 1)), nn.Relu(), nn.Conv2D(4, (1, 1), (1, 1)),
+    nn.Conv2D(2, (4, 4), (1, 1)), nn.Flatten(), nn.Dense(2),
+))
+
+
+@pytest.mark.parametrize("net", [EVERY_KIND, ALIASING_CONVS], ids=["every-kind", "aliasing-convs"])
+def test_no_layer_writes_into_its_input(net):
     """A conv's backward rebuilds its windows from the input it cached, so no
     layer's forward or backward may change the bytes of a layer's input."""
-    params = nn.init_params(EVERY_KIND, 0)
-    h = SeededPrng(1).uniform((4, *EVERY_KIND.input_shape)).astype(np.float32)
+    params = nn.init_params(net, 0)
+    h = SeededPrng(1).uniform((4, *net.input_shape)).astype(np.float32)
     rng, inputs, caches = SeededPrng(2), [], []
-    for lay, p in zip(EVERY_KIND.layers, params.layers):
+    for lay, p in zip(net.layers, params.layers):
         inputs.append((lay.kind, h, h.tobytes()))
         h, cache = lay.forward(h, p, True, rng)
         caches.append(cache)
     _, _, dlogits = nn.softmax_cross_entropy(h, np.arange(4) % 2)
-    for _ in nn.network_backward(EVERY_KIND, params, caches, dlogits):
+    for _ in nn.network_backward(net, params, caches, dlogits):
         pass
     for kind, x, before in inputs:
         assert x.tobytes() == before, kind
