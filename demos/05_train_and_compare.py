@@ -41,10 +41,10 @@ with tempfile.TemporaryDirectory(prefix="cellgrade_demo_") as tmp:
     params, digest = harness.load_checkpoint(work / "cnn.ckpt", net)
     ds = data.load_dataset(dataset_dir)
     x, y, _ = harness.load_tensor_batch(ds, 32)
-    logits, _ = nn.network_forward(net, params, x[:16], "eval")
+    logits, _ = nn.network_forward(net, params, x[:16])
     harness.save_checkpoint(params, net, work / "again.ckpt")
     params2, _ = harness.load_checkpoint(work / "again.ckpt", net)
-    logits2, _ = nn.network_forward(net, params2, x[:16], "eval")
+    logits2, _ = nn.network_forward(net, params2, x[:16])
     print(f"  spec digest {digest:#x}, eval logits bit-identical: {np.array_equal(logits, logits2)}")
 
     print("\nfinal ranking (validation accuracy):")

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .data import MAX_IMAGES
-from .errors import ConfigError, DataError, IntegrityError, ShapeError
+from .errors import ConfigError, DataError, IntegrityError
 from .harness import cmd_cnn_eval, cmd_cnn_train, cmd_knn, cmd_synth
 from .knn import DistanceMetric
 
@@ -122,7 +122,7 @@ def _run(args) -> None:
 def main(argv=None) -> int:
     try:
         _run(build_parser().parse_args(argv))
-    except (ConfigError, ShapeError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:

@@ -93,10 +93,14 @@ def fold_assignment_hash(assignment: np.ndarray, folds: int, seed: int) -> str:
     return h.hexdigest()[:16]
 
 
-def train_val_split_indices(labels, val_fraction: float, seed: int):
-    """Stratified index split; returns (train_idx, val_idx), each sorted."""
+def check_val_fraction(val_fraction: float) -> None:
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
+
+
+def train_val_split_indices(labels, val_fraction: float, seed: int):
+    """Stratified index split; returns (train_idx, val_idx), each sorted."""
+    check_val_fraction(val_fraction)
     val_parts, train_parts = [], []
     for _, shuffled in _shuffled_classes(np.asarray(labels), seed):
         n_val = int(np.floor(shuffled.size * val_fraction + 0.5))

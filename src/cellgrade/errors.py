@@ -13,6 +13,10 @@ class ConfigError(CellgradeError):
     """Invalid parameter or option combination (exit code 2)."""
 
 
+class ShapeError(ConfigError):
+    """Tensor/network shape mismatch, a configuration problem; message names the dimensions."""
+
+
 class DataError(CellgradeError):
     """Dataset layout or content problem (exit code 3)."""
 
@@ -23,10 +27,6 @@ class DecodeError(DataError):
 
 class UnsupportedFormatError(DataError):
     """Well-formed image in a format this package does not handle."""
-
-
-class ShapeError(CellgradeError):
-    """Tensor/network shape mismatch; message names the dimensions."""
 
 
 class IntegrityError(CellgradeError):

@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DatasetItem, load_dataset, synth_generate, train_val_split_indices
+from .data import DatasetItem, check_val_fraction, load_dataset, synth_generate, train_val_split_indices
 from .errors import ConfigError, DataError, IntegrityError
 from .imaging import decode_image, extract_histogram_features, extract_raw_features, image_to_tensor
 from .knn import DistanceMetric, check_sweep, k_sweep
@@ -319,6 +319,8 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     if not (np.isfinite(lr32) and lr32 > 0):
         raise ConfigError(f"lr must be a finite float32 number > 0, got {lr}")
     net = reduced_network() if reduced else reference_network()
+    check_batch_size(net, batch_size)  # what needs no data, checked before the decode
+    check_val_fraction(val_frac)
     side = net.input_shape[0]
     dataset = load_dataset(data_dir)
     x, y, skipped = load_tensor_batch(dataset, side)
@@ -326,10 +328,10 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     x_train, y_train = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
     del x  # the splits are copies: keep one set of tensors alive, not two
-    check_batch_size(net, y_train.size, batch_size)
+    check_batch_size(net, batch_size, y_train.size)
 
     master = SeededPrng(seed)
-    params = init_params(net, master.split(), dtype=np.float32)
+    params = init_params(net, master.next_u64(), dtype=np.float32)  # the seed master.split() draws
     train_rng = master.split()
 
     config = {

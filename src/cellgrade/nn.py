@@ -50,7 +50,7 @@ from .prng import SeededPrng
 # an input shape (batch dimension omitted) to the output and parameter shapes;
 # `forward(h, p, train, rng)` returns (y, cache) in both modes,
 # `backward(g, cache)` returns (dx, *parameter gradients) and
-# `param_backward(g, cache)` the parameter gradients alone. Kernels are called
+# `param_backward(g, cache)` the same with dx None. Kernels are called
 # by module name at call time, so a replaced module attribute reaches every
 # network. Other attributes are ClassVars: canonical_json serializes fields.
 
@@ -66,8 +66,8 @@ class _Layer:
         return {}
 
     def param_backward(self, g, cache):
-        """Parameter gradients alone, for a first layer whose input gradient is unused."""
-        return self.backward(g, cache)[1:]
+        """(None, *parameter gradients), for a first layer whose input gradient is unused."""
+        return None, *self.backward(g, cache)[1:]
 
 
 def _window_shape(in_shape, window, stride):
@@ -109,7 +109,7 @@ class Conv2D(_Layer):
         return conv2d_backward(g, cache)
 
     def param_backward(self, g, cache):
-        return conv2d_backward(g, cache, input_grad=False)[1:]
+        return conv2d_backward(g, cache, input_grad=False)
 
 
 @dataclass(frozen=True)
@@ -231,13 +231,10 @@ class Dense(_Layer):
         return dense_backward(g, cache)
 
 
-LayerSpec = Conv2D | BatchNorm | Dropout | MaxPool | Flatten | Relu | Dense
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     input_shape: tuple[int, int, int]
-    layers: tuple[LayerSpec, ...]
+    layers: tuple[_Layer, ...]
 
     def canonical_json(self) -> str:
         """Stable serialization used for checkpoint digests."""
@@ -364,15 +361,12 @@ class ParamState:
 
     @property
     def dtype(self):
-        for d in self.layers:
-            for v in d.values():
-                return v.dtype
-        return np.dtype(np.float32)
+        return next((v.dtype for d in self.layers for v in d.values()), np.dtype(np.float32))
 
 
-def init_params(net: NetworkSpec, seed: int | SeededPrng, dtype=np.float32) -> ParamState:
+def init_params(net: NetworkSpec, seed: int, dtype=np.float32) -> ParamState:
     """Glorot-uniform kernels/weights, zero biases, identity batch-norm."""
-    rng = seed if isinstance(seed, SeededPrng) else SeededPrng(int(seed))
+    rng = SeededPrng(int(seed))
     layers, adam_m, adam_v = [], [], []
     for lay, shapes in zip(net.layers, param_shapes(net)):
         p = {k: _init_tensor(k, shape, rng, dtype) for k, shape in shapes.items()}
@@ -603,7 +597,7 @@ _ADAM_BLOCK = 1 << 15  # elements per Adam block; a block of its six arrays stay
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-7  # b1, b2 and eps below
 
 
-def adam_step(params: ParamState, grads, lr: float = 1e-3) -> ParamState:
+def adam_step(params: ParamState, grads, lr: float = 1e-3) -> None:
     """One bias-corrected Adam update over every trainable tensor, in place.
 
     grads is an iterable of (layer index, {key: gradient}) pairs in any layer
@@ -622,7 +616,6 @@ def adam_step(params: ParamState, grads, lr: float = 1e-3) -> ParamState:
         _adam_layer(params.layers[i], params.adam_m[i], params.adam_v[i], layer_grads,
                     params.step, lr)
         del layer_grads  # else it lives on while the next pair is computed
-    return params
 
 
 def _adam_layer(p, m, v, grads, t: int, lr: float) -> None:
@@ -667,29 +660,27 @@ def _adam_layer(p, m, v, grads, t: int, lr: float) -> None:
 # --------------------------------------------------------------------------
 
 def network_forward(net: NetworkSpec, params: ParamState, batch: np.ndarray,
-                    mode: str = "eval", rng: SeededPrng | None = None):
+                    train: bool = False, rng: SeededPrng | None = None):
     """Apply all layers in order; returns (logits, caches).
 
-    mode "train" uses batch statistics and live dropout (drawing masks from
-    rng) and keeps each layer's cache, one list entry per layer; mode "eval"
+    A train pass uses batch statistics and live dropout (drawing masks from
+    rng) and keeps each layer's cache, one list entry per layer; an eval pass
     uses moving statistics and identity dropout and keeps none (caches is
     empty), so no layer's intermediates outlive the next.
     """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     expected = tuple(net.input_shape)
     if batch.shape[1:] != expected:
         raise ShapeError(f"batch shape {batch.shape[1:]} does not match input {expected}")
     h = batch.astype(params.dtype, copy=False)
     caches = []
     for lay, p in zip(net.layers, params.layers):
-        h, cache = lay.forward(h, p, mode == "train", rng)
-        if mode == "train":
+        h, cache = lay.forward(h, p, train, rng)
+        if train:
             caches.append(cache)
     return h, caches
 
 
-def network_backward(net: NetworkSpec, params: ParamState, caches: list, dlogits: np.ndarray):
+def network_backward(net: NetworkSpec, caches: list, dlogits: np.ndarray):
     """Backpropagate dlogits through train-mode caches, yielding (layer index,
     {key: gradient}) for every layer, from the last layer to the first.
 
@@ -702,10 +693,7 @@ def network_backward(net: NetworkSpec, params: ParamState, caches: list, dlogits
     g = dlogits
     for i in reversed(range(len(net.layers))):
         lay = net.layers[i]
-        if i:
-            g, *param_grads = lay.backward(g, caches[i])
-        else:
-            param_grads = lay.param_backward(g, caches[i])
+        g, *param_grads = (lay.backward if i else lay.param_backward)(g, caches[i])
         caches[i] = (None, caches[i][1]) if lay.kind == "batch_norm" else None
         yield i, dict(zip(lay.trainable, param_grads))
         del param_grads  # else this layer's gradients live on through the next backward
@@ -718,21 +706,27 @@ def commit_bn_updates(net: NetworkSpec, params: ParamState, caches: list) -> Non
             p["moving_mean"], p["moving_var"] = cache[1]
 
 
-def _check_data(what: str, x: np.ndarray, y: np.ndarray) -> None:
-    """Reject an empty dataset and labels that are not one per sample."""
+def _check_data(what: str, net: NetworkSpec, x: np.ndarray, y: np.ndarray) -> None:
+    """Reject an empty dataset and labels that are not one class index per sample."""
     if x.shape[0] == 0:
         raise ConfigError(f"{what} needs a non-empty dataset")
     if y.shape != (x.shape[0],):
         raise ShapeError(f"{what}: labels shape {y.shape} does not match N={x.shape[0]}")
+    classes = infer_shapes(net)[-1][-1]  # the network's output width
+    bad = y[~np.isin(y, np.arange(classes))] if y.dtype.kind in "iu" else y
+    if bad.size:
+        raise ConfigError(f"{what}: labels must be integers in [0, {classes}), got {bad[0].item()!r}")
 
 
-def check_batch_size(net: NetworkSpec, n: int, batch_size: int) -> None:
-    """Reject a batch size that would hand batch norm a batch of one sample."""
+def check_batch_size(net: NetworkSpec, batch_size: int, n: int | None = None) -> None:
+    """Reject a batch size below 1 or one that would hand batch norm a batch of
+    one sample: every batch at batch_size 1 and, given n samples, a trailing one."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if any(lay.kind == "batch_norm" for lay in net.layers) and 1 in (batch_size, n % batch_size):
+    if any(lay.kind == "batch_norm" for lay in net.layers) and 1 in (batch_size, (n or 0) % batch_size):
+        over = "" if n is None else f" over {n} training samples"
         raise ConfigError(
-            f"batch_size {batch_size} over {n} training samples makes "
+            f"batch_size {batch_size}{over} makes "
             f"{'batches' if batch_size == 1 else 'a trailing batch'} of 1 sample, "
             "which batch normalization cannot train on"
         )
@@ -742,29 +736,29 @@ def train_epoch(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarr
                 batch_size: int, rng: SeededPrng, lr: float = 1e-3) -> None:
     """One seeded-shuffle pass: forward, loss, backward, Adam and the
     batch-norm commit per batch, updating params in place."""
-    _check_data("train_epoch", x, y)
+    _check_data("train_epoch", net, x, y)
     n = x.shape[0]
-    check_batch_size(net, n, batch_size)
+    check_batch_size(net, batch_size, n)
     order = rng.permutation(n)
     for idx in (order[lo : lo + batch_size] for lo in range(0, n, batch_size)):
-        logits, caches = network_forward(net, params, x[idx], "train", rng)
+        logits, caches = network_forward(net, params, x[idx], True, rng)
         _, _, dlogits = softmax_cross_entropy(logits, y[idx])
         # each layer's parameters move as soon as its gradients exist
-        adam_step(params, network_backward(net, params, caches, dlogits), lr)
+        adam_step(params, network_backward(net, caches, dlogits), lr)
         commit_bn_updates(net, params, caches)
 
 
 def evaluate(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarray,
              batch_size: int = 64):
     """Eval-mode loss, accuracy, and predicted labels over a whole dataset."""
-    _check_data("evaluate", x, y)
+    _check_data("evaluate", net, x, y)
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     n = x.shape[0]
     loss_sum, preds = 0.0, []
     for lo in range(0, n, batch_size):
         xb, yb = x[lo : lo + batch_size], y[lo : lo + batch_size]
-        logits, _ = network_forward(net, params, xb, "eval")
+        logits, _ = network_forward(net, params, xb)
         loss, probs, _ = softmax_cross_entropy(logits, yb)
         loss_sum += loss * xb.shape[0]
         preds.append(probs.argmax(axis=1))
@@ -784,9 +778,7 @@ class GradCheckReport:
 
 def _rel_err(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
-    if scale < 1e-8:
-        return abs(a - b)
-    return abs(a - b) / scale
+    return abs(a - b) / (scale if scale >= 1e-8 else 1.0)
 
 
 def gradient_check(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarray,
@@ -802,12 +794,12 @@ def gradient_check(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.nd
     if params.dtype != np.float64:
         raise ConfigError(f"gradient_check needs float64 parameters, got {params.dtype}")
     rng = SeededPrng(seed)
-    logits, caches = network_forward(net, params, x, "train", rng)
+    logits, caches = network_forward(net, params, x, True, rng)
     _, _, dlogits = softmax_cross_entropy(logits, y)
-    analytic = dict(network_backward(net, params, caches, dlogits))
+    analytic = dict(network_backward(net, caches, dlogits))
 
     def loss_at() -> float:
-        logits, _ = network_forward(net, params, x, "train", SeededPrng(seed))
+        logits, _ = network_forward(net, params, x, True, SeededPrng(seed))
         loss, _, _ = softmax_cross_entropy(logits, y)
         return loss
 

@@ -73,10 +73,10 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, net_and_params):
 def test_checkpoint_roundtrip_preserves_eval_logits(tmp_path, net_and_params):
     net, params = net_and_params
     x = SeededPrng(1).uniform((3, 6, 6, 3)).astype(np.float32)
-    before, _ = nn.network_forward(net, params, x, "eval")
+    before, _ = nn.network_forward(net, params, x)
     save_checkpoint(params, net, tmp_path / "m.ckpt")
     loaded, _ = load_checkpoint(tmp_path / "m.ckpt", net)
-    after, _ = nn.network_forward(net, loaded, x, "eval")
+    after, _ = nn.network_forward(net, loaded, x)
     np.testing.assert_array_equal(before, after)
 
 
@@ -233,6 +233,33 @@ def test_cmd_knn_rerun_is_byte_identical(small_synth, tmp_path):
 
 
 # -- cnn commands --------------------------------------------------------------------
+
+@pytest.mark.parametrize("reduced,batch_size,val_frac,match", [
+    (True, 0, 0.2, "batch_size must be >= 1, got 0"),
+    (True, 1, 0.2, "batch_size 1 makes batches of 1 sample"),
+    (False, 1, 0.2, "batch_size 1 makes batches of 1 sample"),
+    (True, 32, 1.5, r"val_fraction must be in \(0, 1\), got 1.5"),
+    (True, 32, 0.0, r"val_fraction must be in \(0, 1\), got 0.0"),
+])
+def test_cmd_cnn_train_checks_batch_and_val_frac_before_decoding(small_synth, monkeypatch, reduced,
+                                                                 batch_size, val_frac, match):
+    def no_decode(raw):
+        raise AssertionError("decoded before the batch and val_frac check")
+
+    monkeypatch.setattr(harness, "decode_image", no_decode)
+    with pytest.raises(ConfigError, match=match):
+        harness.cmd_cnn_train(small_synth, reduced=reduced, epochs=1, batch_size=batch_size,
+                              val_frac=val_frac)
+
+
+def test_cmd_cnn_train_checkpoint_starts_from_the_masters_first_word(small_synth, tmp_path):
+    """epochs=0 writes init_params seeded with SeededPrng(seed)'s first output."""
+    harness.cmd_cnn_train(small_synth, reduced=True, epochs=0, seed=9,
+                          out_prefix=str(tmp_path / "cnn"))
+    net = nn.reduced_network()
+    save_checkpoint(nn.init_params(net, SeededPrng(9).next_u64()), net, tmp_path / "want.ckpt")
+    assert (tmp_path / "cnn.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+
 
 def test_cmd_cnn_train_epochs_zero(small_synth, tmp_path):
     prefix = tmp_path / "cnn"

@@ -574,7 +574,7 @@ def test_first_layer_skips_only_its_input_gradient(monkeypatch):
     net = nn.reduced_network()
     params = nn.init_params(net, 3)
     x = SeededPrng(4).uniform((4, 32, 32, 3)).astype(np.float32)
-    logits, cache = nn.network_forward(net, params, x, "train", SeededPrng(5))
+    logits, cache = nn.network_forward(net, params, x, True, SeededPrng(5))
     _, _, dlogits = nn.softmax_cross_entropy(logits, np.array([0, 1, 1, 0]))
     col2im_calls = []
     col2im = nn._col2im
@@ -584,7 +584,7 @@ def test_first_layer_skips_only_its_input_gradient(monkeypatch):
         return col2im(dcols, x_shape, sh, sw)
 
     monkeypatch.setattr(nn, "_col2im", counting_col2im)
-    grads = dict(nn.network_backward(net, params, list(cache), dlogits))  # a copy: backward empties it
+    grads = dict(nn.network_backward(net, list(cache), dlogits))  # a copy: backward empties it
     assert col2im_calls == [(4, 14, 14, 32), (4, 30, 30, 16)]  # layers 7 and 3, not 0
     g = dlogits
     for lay, layer_cache in zip(net.layers[:0:-1], cache[:0:-1]):
@@ -594,6 +594,24 @@ def test_first_layer_skips_only_its_input_gradient(monkeypatch):
     assert np.array_equal(grads[0]["kernel"], dkernel)
     assert np.array_equal(grads[0]["bias"], dbias)
     assert nn.conv2d_backward(g, cache[0], input_grad=False)[0] is None
+
+
+@pytest.mark.parametrize("first,input_shape", [
+    (nn.Conv2D(4, (3, 3)), (6, 6, 3)), (nn.BatchNorm(3), (6, 6, 3)), (nn.Dense(5), (7,)),
+], ids=["conv2d", "batch_norm", "dense"])
+def test_param_backward_is_backward_without_its_input_gradient(first, input_shape):
+    tail = (nn.Dense(2),) if first.kind == "dense" else (nn.Flatten(), nn.Dense(2))
+    net = micro_net(first, nn.Relu(), *tail, input_shape=input_shape)
+    params = nn.init_params(net, 8)
+    x = SeededPrng(9).uniform((4, *input_shape)).astype(np.float32)
+    logits, caches = nn.network_forward(net, params, x, True, SeededPrng(10))
+    g = nn.softmax_cross_entropy(logits, np.array([0, 1, 1, 0]))[2]
+    for lay, cache in zip(net.layers[:0:-1], caches[:0:-1]):
+        g = lay.backward(g, cache)[0]
+    got, want = first.param_backward(g, caches[0]), first.backward(g, caches[0])
+    assert got[0] is None and want[0].shape == x.shape and len(got) == len(want) == 3
+    for a, b in zip(got[1:], want[1:]):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_gradient_check_requires_float64():

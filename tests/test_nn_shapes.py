@@ -145,7 +145,7 @@ def test_no_layer_writes_into_its_input(net):
         h, cache = lay.forward(h, p, True, rng)
         caches.append(cache)
     _, _, dlogits = nn.softmax_cross_entropy(h, np.arange(4) % 2)
-    for _ in nn.network_backward(net, params, caches, dlogits):
+    for _ in nn.network_backward(net, caches, dlogits):
         pass
     for kind, x, before in inputs:
         assert x.tobytes() == before, kind

@@ -153,9 +153,9 @@ def reduced_step_inputs(seed=31):
 
 
 def backward_of_one_step(net, params, x, y, seed):
-    logits, caches = nn.network_forward(net, params, x, "train", SeededPrng(seed))
+    logits, caches = nn.network_forward(net, params, x, True, SeededPrng(seed))
     _, _, dlogits = nn.softmax_cross_entropy(logits, y)
-    return caches, nn.network_backward(net, params, caches, dlogits)
+    return caches, nn.network_backward(net, caches, dlogits)
 
 
 def test_adam_step_gives_the_same_bytes_in_either_layer_order():
@@ -232,8 +232,8 @@ def test_eval_forward_is_deterministic():
     net = nn.reduced_network()
     params = nn.init_params(net, 5)
     x = SeededPrng(6).uniform((4, 32, 32, 3)).astype(np.float32)
-    a, _ = nn.network_forward(net, params, x, "eval")
-    b, _ = nn.network_forward(net, params, x, "eval")
+    a, _ = nn.network_forward(net, params, x)
+    b, _ = nn.network_forward(net, params, x)
     np.testing.assert_array_equal(a, b)
 
 
@@ -242,9 +242,9 @@ def test_eval_forward_keeps_no_cache_and_little_memory():
     params = nn.init_params(net, 5)
     x = SeededPrng(6).uniform((64, 32, 32, 3)).astype(np.float32)
     y = np.arange(64) % 2
-    _, caches = nn.network_forward(net, params, x, "eval")
+    _, caches = nn.network_forward(net, params, x)
     assert caches == []
-    _, train_caches = nn.network_forward(net, params, x, "train", SeededPrng(7))
+    _, train_caches = nn.network_forward(net, params, x, True, SeededPrng(7))
     assert len(train_caches) == len(net.layers)
     pending = [(lay.channels, cache[1]) for lay, cache in zip(net.layers, train_caches)
                if lay.kind == "batch_norm"]
@@ -261,20 +261,18 @@ def test_eval_forward_keeps_no_cache_and_little_memory():
     assert peak < 21 * x.nbytes, peak / x.nbytes
 
 
-def test_forward_rejects_bad_mode_and_shape():
+def test_forward_rejects_bad_shape():
     net = tiny_net()
     params = nn.init_params(net, 0)
-    with pytest.raises(ConfigError, match="mode"):
-        nn.network_forward(net, params, np.zeros((1, 4, 4, 2), dtype=np.float32), "test")
     with pytest.raises(Exception, match="input"):
-        nn.network_forward(net, params, np.zeros((1, 5, 5, 2), dtype=np.float32), "eval")
+        nn.network_forward(net, params, np.zeros((1, 5, 5, 2), dtype=np.float32))
 
 
 def test_train_mode_dropout_needs_rng():
     net = nn.NetworkSpec((4,), (nn.Dropout(0.5), nn.Dense(2)))
     params = nn.init_params(net, 0)
     with pytest.raises(ConfigError, match="SeededPrng"):
-        nn.network_forward(net, params, np.zeros((2, 4), dtype=np.float32), "train")
+        nn.network_forward(net, params, np.zeros((2, 4), dtype=np.float32), True)
 
 
 # -- train_epoch ----------------------------------------------------------------
@@ -368,7 +366,7 @@ def test_train_epoch_frees_each_steps_caches():
     net = nn.reduced_network()
     x = SeededPrng(6).uniform((96, 32, 32, 3)).astype(np.float32)
     y = np.arange(96) % 2
-    _, caches = nn.network_forward(net, nn.init_params(net, 5), x[:32], "train", SeededPrng(7))
+    _, caches = nn.network_forward(net, nn.init_params(net, 5), x[:32], True, SeededPrng(7))
     step_cache_bytes = array_bytes(caches)
     del caches
     peaks = {}
@@ -448,12 +446,26 @@ def test_label_count_and_batch_size_are_checked(call, n_labels, batch_size, erro
         getattr(nn, call)(net, params, x, y, *args)
 
 
+@pytest.mark.parametrize("call", ["train_epoch", "evaluate"])
+@pytest.mark.parametrize("bad", [-1, 2, 0.5])
+def test_labels_must_be_classes_of_the_output(call, bad):
+    net = tiny_net()
+    params = nn.init_params(net, 0)
+    x, _ = make_blobs(n=6)
+    args = (2, SeededPrng(0)) if call == "train_epoch" else ()
+    with pytest.raises(ConfigError, match=fr"{call}: labels must be integers in \[0, 2\), got {bad}$"):
+        getattr(nn, call)(net, params, x, np.array([bad, 0, 1, 1, 0, 1]), *args)
+    # a float array is refused whole, as its labels cannot index the class axis
+    with pytest.raises(ConfigError, match=r"got 0\.0$"):
+        getattr(nn, call)(net, params, x, np.array([0.0, 1, 0, 1, 0, 1]), *args)
+
+
 def test_evaluate_matches_manual_pass():
     x, y = make_blobs(n=10, seed=17)
     net = tiny_net()
     params = nn.init_params(net, 4)
     loss, acc, preds = nn.evaluate(net, params, x, y, batch_size=3)
-    logits, _ = nn.network_forward(net, params, x, "eval")
+    logits, _ = nn.network_forward(net, params, x)
     expected_loss, probs, _ = nn.softmax_cross_entropy(logits, y)
     np.testing.assert_array_equal(preds, probs.argmax(axis=1))
     assert acc == float(np.mean(preds == y))
