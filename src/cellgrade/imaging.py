@@ -1,8 +1,9 @@
 """Cell-image decoding and the two feature representations.
 
 Images are decoded to a PixelImage of RGB floats in [0, 1], and resizing
-returns one too. Everything else returns a plain float64 array:
-rgb_to_hsv an (h, w, 3) array of (h, s, v), and the kNN features a
+returns one too. Everything else returns a plain float64 array: rgb_to_hsv an
+(h, w, 3) array of hexcone (h, s, v), hue from one sector formula per pixel
+(the max channel's sector, one division by max - min), and the kNN features a
 1-D vector, either the flattened 32x32 raw pixels (3072 dims) or an
 L1-normalized 3D HSV color histogram (bins^3 dims, default 8^3 = 512). The
 CNN pipeline consumes a bilinearly resized (side, side, 3) array.
@@ -20,6 +21,8 @@ from . import png
 
 RAW_SIDE = 32
 DEFAULT_BINS = 8
+# Hue offset at 2*red + green + 4*(q < 0), red taking v == r == g: blue 4, green 2, red 0 (6 if q < 0).
+_HUE_OFFSETS = np.array([4.0, 2.0, 0.0, 0.0, 4.0, 2.0, 6.0, 6.0])
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,7 @@ class PixelImage:
         v = self.values
         if v.ndim != 3 or v.shape[2] != 3:
             raise ValueError(f"PixelImage needs (h, w, 3) values, got {v.shape}")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        if v.size and not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails both
             raise ValueError("PixelImage values must lie in [0, 1]")
 
 
@@ -66,27 +69,37 @@ def resize_bilinear(img: PixelImage, out_w: int, out_h: int) -> PixelImage:
     return PixelImage(np.clip(out, 0.0, 1.0))
 
 
-def rgb_to_hsv(img: PixelImage) -> np.ndarray:
-    """Hexcone RGB -> HSV; h is a [0, 1) fraction, h = 0 wherever s = 0."""
-    r, g, b = img.values[..., 0], img.values[..., 1], img.values[..., 2]
+def _hsv_planes(values: np.ndarray):
+    """The h, s and v planes of (h, w, 3) RGB values; see rgb_to_hsv."""
+    r, g, b = values[..., 0], values[..., 1], values[..., 2]
     v = np.maximum(np.maximum(r, g), b)
-    mn = np.minimum(np.minimum(r, g), b)
-    c = v - mn
-    s = np.divide(c, v, out=np.zeros_like(v), where=v > 0)
-    cs = np.where(c == 0, 1.0, c)  # safe divisor; masked out below
-    h = np.select(
-        [c == 0, v == r, v == g],
-        [0.0, np.mod((g - b) / cs, 6.0), (b - r) / cs + 2.0],
-        default=(r - g) / cs + 4.0,
-    ) / 6.0
-    h = np.where(h >= 1.0, 0.0, h)  # guard the mod-6 rounding edge
-    return np.stack([h, s, v], axis=-1)
+    c = v - np.minimum(np.minimum(r, g), b)
+    s = c / (v + (v == 0.0))  # v = 0 divides c = 0 by 1
+    red, green = v == r, v == g
+    h = np.where(red, g - b, np.where(green, b - r, r - g))
+    h /= c + (c == 0.0)  # a grey pixel is red with g - b = 0, so its h stays 0
+    h += _HUE_OFFSETS[2 * red.view(np.uint8) + green.view(np.uint8) + 4 * (h < 0.0).view(np.uint8)]
+    h /= 6.0
+    h[h >= 1.0] = 0.0  # the mod-6 rounding edge
+    return h, s, v
+
+
+def rgb_to_hsv(img: PixelImage) -> np.ndarray:
+    """Hexcone RGB -> HSV; h is a [0, 1) fraction, h = 0 wherever s = 0: h = (q + 0, 2
+    or 4) / 6 in a red, green or blue sector, q = (g - b, b - r or r - g) / c (mod 6)."""
+    return np.stack(_hsv_planes(img.values), axis=-1)
 
 
 def extract_raw_features(img: PixelImage) -> np.ndarray:
     """Resize to 32x32 and flatten row-major (row, column, channel): 3072 dims."""
     resized = resize_bilinear(img, RAW_SIDE, RAW_SIDE)
     return resized.values.reshape(-1)
+
+
+def _hsv_bins(values: np.ndarray, bins: int) -> np.ndarray:
+    """Each pixel's flat (h, s, v) bin; a plane's bin is min(int(x * bins), bins - 1)."""
+    h, s, v = (np.trunc(np.minimum(x * bins, bins - 1)) for x in _hsv_planes(values))
+    return ((h * bins + s) * bins + v).astype(np.intp).reshape(-1)  # whole floats: exact
 
 
 def extract_histogram_features(img: PixelImage, bins_per_channel: int = DEFAULT_BINS) -> np.ndarray:
@@ -96,10 +109,7 @@ def extract_histogram_features(img: PixelImage, bins_per_channel: int = DEFAULT_
         raise ValueError(f"bins_per_channel must be >= 1, got {bins}")
     if img.values.size == 0:
         raise ValueError("cannot build a histogram of an empty image")
-    hsv = rgb_to_hsv(img).reshape(-1, 3)
-    idx = np.minimum((hsv * bins).astype(np.intp), bins - 1)
-    flat = (idx[:, 0] * bins + idx[:, 1]) * bins + idx[:, 2]
-    counts = np.bincount(flat, minlength=bins**3).astype(np.float64)
+    counts = np.bincount(_hsv_bins(img.values, bins), minlength=bins**3).astype(np.float64)
     return counts / counts.sum()
 
 

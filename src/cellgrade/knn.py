@@ -21,6 +21,7 @@ _VARIANTS = ("euclidean", "manhattan", "hamming", "minkowski")
 
 # Cap on each euclidean proposal block in _nearest (queries x train rows), in float64 elements.
 _CHUNK_ELEMENTS = 4_000_000
+_ROW_BLOCK = 64  # rows of x per block of _row_distances, through one (block, D) buffer
 
 
 @dataclass(frozen=True)
@@ -68,21 +69,26 @@ def _check_training_set(x: np.ndarray, labels: np.ndarray) -> None:
         raise ConfigError(f"labels must be 0 or 1, got {bad[0].item()!r}")
 
 
-def _row_distances(metric: DistanceMetric, x: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _row_distances(metric: DistanceMetric, x: np.ndarray, q: np.ndarray, buf=None) -> np.ndarray:
     """Distances from one query q to every row of x: the one per-pair kernel.
 
     euclidean: sqrt(sum((x-q)^2)); manhattan: sum(|x-q|); hamming: count of
     exactly unequal positions (meant for binary features, no thresholding);
-    minkowski(p): (sum(|x-q|^p))^(1/p).
-    """
+    minkowski(p): (sum(|x-q|^p))^(1/p). Rows go through buf, a float64 scratch
+    of at least min(_ROW_BLOCK, N) rows of D, _ROW_BLOCK rows at a time."""
     if metric.variant == "hamming":
         return np.count_nonzero(x != q[None, :], axis=1).astype(np.float64)
-    diff = x - q[None, :]
+    out = np.empty(x.shape[0])
+    buf = np.empty((min(_ROW_BLOCK, x.shape[0]), x.shape[1])) if buf is None else buf
+    for lo in range(0, x.shape[0], _ROW_BLOCK):
+        diff = np.subtract(x[lo : lo + _ROW_BLOCK], q, out=buf[: min(_ROW_BLOCK, x.shape[0] - lo)])
+        (np.square if metric.variant == "euclidean" else np.abs)(diff, out=diff)
+        if metric.variant == "minkowski":
+            diff **= metric.p
+        np.sum(diff, axis=1, out=out[lo : lo + diff.shape[0]])
     if metric.variant == "euclidean":
-        return np.sqrt(np.sum(diff * diff, axis=1))
-    if metric.variant == "manhattan":
-        return np.sum(np.abs(diff), axis=1)
-    return np.sum(np.abs(diff) ** metric.p, axis=1) ** (1.0 / metric.p)
+        return np.sqrt(out, out=out)
+    return out if metric.variant == "manhattan" else out ** (1.0 / metric.p)
 
 
 def _nearest(metric: DistanceMetric, queries: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
@@ -100,23 +106,27 @@ def _nearest(metric: DistanceMetric, queries: np.ndarray, x: np.ndarray, k: int)
     8 > 6 absorbs rounding in s and kth + s; t covers products that underflow.
     """
     gemm = metric.variant == "euclidean"
+    step = max(1, _CHUNK_ELEMENTS // x.shape[0])
+    buf = np.empty((min(_ROW_BLOCK, x.shape[0]), x.shape[1]))
     if gemm:
         xx = np.einsum("ij,ij->i", x, x)
         g = 1 / (2.0**53 / (x.shape[1] + 2) - 1)
+        block = np.empty((min(step, queries.shape[0]), x.shape[0]))
     out = []
-    step = max(1, _CHUNK_ELEMENTS // x.shape[0])
     for q in np.split(queries, range(step, queries.shape[0], step)):
         if gemm:
             qq = np.einsum("ij,ij->i", q, q)
-            props = qq[:, None] + xx - 2.0 * (q @ x.T)
+            props = np.matmul(q, x.T, out=block[: q.shape[0]])
+            props *= -2.0
+            props += qq[:, None] + xx  # the floats of (qq + xx) - 2q.x
             slacks = 8 * g * (np.sqrt(qq) + np.sqrt(xx.max())) ** 2 + (x.shape[1] + 2) * 2.0**-1070
         for i, row in enumerate(q):
-            prop = props[i] if gemm else _row_distances(metric, x, row)
+            prop = props[i] if gemm else _row_distances(metric, x, row, buf)
             slack = slacks[i] if gemm else 0.0
             cand = np.flatnonzero(~(prop > np.partition(prop, k - 1)[k - 1] + slack))
             order = np.argsort(prop[cand], kind="stable")
             if gemm and not np.all(np.diff(prop[cand[order]]) > 2 * slack):
-                order = np.argsort(_row_distances(metric, x[cand], row), kind="stable")
+                order = np.argsort(_row_distances(metric, x[cand], row, buf), kind="stable")
             out.append(cand[order[:k]])
     return np.array(out, dtype=np.intp).reshape(-1, k)
 

@@ -56,7 +56,7 @@ class SeededPrng:
     """splitmix64 stream; scalar draws use Python ints, batches use uint64 arrays."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64

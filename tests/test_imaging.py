@@ -163,6 +163,78 @@ def test_hsv_ranges_and_roundtrip(values):
     np.testing.assert_allclose(back[chromatic], img.values[chromatic], atol=1e-6)
 
 
+def select_hsv(values):
+    """The np.select form rgb_to_hsv replaced: every sector's hue built for every
+    pixel, then picked by [grey, v == r, v == g, else]; returns the h, s, v planes."""
+    r, g, b = values[..., 0], values[..., 1], values[..., 2]
+    v = np.maximum(np.maximum(r, g), b)
+    c = v - np.minimum(np.minimum(r, g), b)
+    s = np.divide(c, v, out=np.zeros_like(v), where=v > 0)
+    cs = np.where(c == 0, 1.0, c)
+    h = np.select([c == 0, v == r, v == g],
+                  [0.0, np.mod((g - b) / cs, 6.0), (b - r) / cs + 2.0], default=(r - g) / cs + 4.0) / 6.0
+    return np.where(h >= 1.0, 0.0, h), s, v
+
+
+def select_bins(values, bins):
+    """Each pixel's flat bin from the select form, binned as (hsv * bins).astype(intp)."""
+    hb, sb, vb = (np.minimum((x * bins).astype(np.intp), bins - 1) for x in select_hsv(values))
+    return ((hb * bins + sb) * bins + vb).reshape(-1)
+
+
+def select_histogram(values, bins):
+    counts = np.bincount(select_bins(values, bins), minlength=bins**3).astype(np.float64)
+    return counts / counts.sum()
+
+
+def hue_ties(seed, n=4000):
+    """Random [0, 1] pixels, then rows forced to r == g, g == b, r == b == max, grey,
+    zero, one, the rounding edge's tiny red q < 0, a subnormal channel, a one channel,
+    two zero channels and -0.0."""
+    rng = np.random.default_rng(seed)
+    px = rng.uniform(size=(n, 3))
+    decoded = rng.random(n) < 0.5
+    px[decoded] = np.round(px[decoded] * 255.0) / 255.0
+    rows = np.array_split(rng.permutation(n), 12)
+    px[rows[0], 1] = px[rows[0], 0]
+    px[rows[1], 2] = px[rows[1], 1]
+    px[rows[2], 2] = px[rows[2], 0] = np.maximum(px[rows[2], 0], px[rows[2], 1])
+    px[rows[3]] = px[rows[3], :1]
+    px[rows[4]] = 0.0
+    px[rows[5]] = 1.0
+    px[rows[6], 0], px[rows[6], 1] = 1.0, 0.0
+    px[rows[6], 2] = 1e-17 * rng.random(rows[6].size)  # hue rounds to 6/6 and reads 0
+    px[rows[7], rng.integers(0, 3, rows[7].size)] = 5e-324
+    px[rows[8]] = -0.0
+    px[rows[9], rng.integers(0, 3, rows[9].size)] = 1.0
+    px[rows[10], 1] = px[rows[10], 2] = 0.0
+    px[rows[11], rng.integers(0, 3, rows[11].size)] = -0.0
+    return px.reshape(-1, 40, 3)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rgb_to_hsv_is_bitwise_the_select_form(seed):
+    values = hue_ties(seed)
+    assert rgb_to_hsv(PixelImage(values)).tobytes() == np.stack(select_hsv(values), axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("bins", range(1, 17))
+def test_histogram_is_bytewise_the_select_form(bins):
+    for seed in range(3):
+        values = hue_ties(seed)
+        assert extract_histogram_features(PixelImage(values), bins).tobytes() == \
+            select_histogram(values, bins).tobytes()
+
+
+def test_bins_of_every_8bit_colour_are_the_select_forms():
+    """All 2^24 decoded colours k/255 at the default 8 bins, 2^18 pixels at a time."""
+    chunk = 1 << 18
+    for lo in range(0, 1 << 24, chunk):
+        rgb = np.arange(lo, lo + chunk)[:, None] >> np.array([16, 8, 0]) & 255
+        values = (rgb / 255.0).reshape(chunk, 1, 3)
+        assert np.array_equal(imaging._hsv_bins(values, 8), select_bins(values, 8)), lo
+
+
 # -- features ---------------------------------------------------------------
 
 def test_raw_features_zero_image():
@@ -265,3 +337,14 @@ def test_pixel_image_validation():
         PixelImage(np.zeros((4, 4, 2)))
     with pytest.raises(ValueError):
         PixelImage(np.full((4, 4, 3), 1.5))
+
+
+@pytest.mark.parametrize("channel", range(3))
+def test_pixel_image_rejects_nan(channel):
+    values = np.full((4, 4, 3), 0.5)
+    values[1, 2, channel] = np.nan
+    with pytest.raises(ValueError, match=r"values must lie in \[0, 1\]"):
+        PixelImage(values)
+    values[..., channel] = np.nan
+    with pytest.raises(ValueError, match=r"values must lie in \[0, 1\]"):
+        PixelImage(values)

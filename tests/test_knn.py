@@ -350,6 +350,36 @@ def test_nearest_is_the_same_across_query_chunks(monkeypatch, metric, per_chunk)
     assert knn._nearest(metric, queries, x, 9).tobytes() == whole.tobytes()
 
 
+def broadcast_distances(metric, x, q):
+    """The unblocked form _row_distances replaced: one (N, D) difference, reduced along rows."""
+    if metric.variant == "hamming":
+        return np.count_nonzero(x != q[None, :], axis=1).astype(np.float64)
+    diff = x - q[None, :]
+    if metric.variant == "euclidean":
+        return np.sqrt(np.sum(diff * diff, axis=1))
+    if metric.variant == "manhattan":
+        return np.sum(np.abs(diff), axis=1)
+    return np.sum(np.abs(diff) ** metric.p, axis=1) ** (1.0 / metric.p)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 151])
+@pytest.mark.parametrize("metric", [EUCLIDEAN, MANHATTAN, HAMMING, minkowski(2.5), minkowski(2.0)],
+                         ids=lambda m: m.label)
+def test_distances_and_nearest_are_the_same_across_row_blocks(monkeypatch, metric, rows):
+    """Row blocks of 1, 7 and more than N give the unblocked form's distances and the
+    neighbours of the default block, for N = 150, N = 5 (under one block of 7) and N = 1."""
+    rng = np.random.default_rng(19)
+    x = rng.integers(0, 4, size=(150, 70)) * 0.37 + rng.uniform(size=(150, 70)) * (rng.random((150, 70)) < 0.5)
+    queries = np.concatenate([x[:10], rng.integers(0, 4, size=(20, 70)) * 0.37])
+    whole = {n: knn._nearest(metric, queries, x[:n], min(n, 9)) for n in (150, 5, 1)}
+    monkeypatch.setattr(knn, "_ROW_BLOCK", rows)
+    for n in (150, 5, 1):
+        for q in queries:
+            assert knn._row_distances(metric, x[:n], q).tobytes() == \
+                broadcast_distances(metric, x[:n], q).tobytes()
+        assert knn._nearest(metric, queries, x[:n], min(n, 9)).tobytes() == whole[n].tobytes()
+
+
 def test_nearest_is_exact_where_products_underflow():
     """Squares of ~1e-160 features are subnormal; the slack's absolute term covers them."""
     rng = np.random.default_rng(17)

@@ -88,3 +88,12 @@ def test_below_bounds():
     draws = [rng.below(7) for _ in range(500)]
     assert min(draws) >= 0 and max(draws) <= 6
     assert len(set(draws)) == 7
+
+
+def test_numpy_integer_seeds_draw_the_python_ints_words():
+    words = SeededPrng(3).u64(5).tolist()
+    for seed in (np.int64(3), np.uint64(3), np.int32(3)):
+        assert SeededPrng(seed).u64(5).tolist() == words
+        assert SeededPrng(seed).next_u64() == words[0]
+    assert SeededPrng(np.int64(-1)).u64(5).tolist() == SeededPrng(-1).u64(5).tolist()
+    assert SeededPrng(-1).u64(5).tolist() == reference_splitmix64(MASK, 5)
