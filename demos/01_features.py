@@ -31,9 +31,9 @@ with tempfile.TemporaryDirectory(prefix="cellgrade_demo_") as tmp:
             s, v = divmod(rem, 8)
             print(f"    bin (h={h}, s={s}, v={v}) holds {hist[idx]:.3f} of the mass")
 
-        hsv = imaging.rgb_to_hsv(img)
-        purple = (hsv[..., 0] > 0.625) & (hsv[..., 0] < 0.875) & (hsv[..., 1] > 0.375)
-        print(f"  fraction of pixels in the purple band: {purple.mean():.4f}")
+        # hue bins 5-6 are hues 0.625-0.875; saturation bins 3-7 are s >= 0.375
+        purple = hist.reshape(8, 8, 8)[5:7, 3:].sum()
+        print(f"  fraction of pixels in the purple band: {purple:.4f}")
 
     print("\nThe parasitized image carries extra mass in purple hue bins; that mass")
     print("is exactly what the histogram kNN keys on.")

@@ -2,8 +2,8 @@
 
 - png: PNG decoding (all five filter types) and 8-bit RGB encoding
 - errors: the exception classes, one CLI exit code each
-- imaging: image decoding, bilinear resizing, RGB to HSV, raw-pixel and HSV
-  color-histogram features
+- imaging: image decoding, bilinear resizing, raw-pixel and HSV color-histogram
+  features
 - knn: exact k-nearest-neighbour classification with four distance metrics
   and stratified cross-validation
 - nn: from-scratch CNN engine (conv / batch norm / dropout / pooling / dense)

@@ -1,12 +1,12 @@
 """Cell-image decoding and the two feature representations.
 
 Images are decoded to a PixelImage of RGB floats in [0, 1], and resizing
-returns one too. Everything else returns a plain float64 array: rgb_to_hsv an
-(h, w, 3) array of hexcone (h, s, v), hue from one sector formula per pixel
-(the max channel's sector, one division by max - min), and the kNN features a
-1-D vector, either the flattened 32x32 raw pixels (3072 dims) or an
-L1-normalized 3D HSV color histogram (bins^3 dims, default 8^3 = 512). The
-CNN pipeline consumes a bilinearly resized (side, side, 3) array.
+returns one too. The kNN features are a 1-D float64 vector, either the
+flattened 32x32 raw pixels (3072 dims) or an L1-normalized 3D HSV color
+histogram (bins^3 dims, default 8^3 = 512) over hexcone (h, s, v), hue from
+one sector formula per pixel (the max channel's sector, one division by
+max - min). The CNN pipeline consumes a bilinearly resized (side, side, 3)
+array.
 
 All functions are pure; nothing here holds mutable state.
 """
@@ -70,7 +70,9 @@ def resize_bilinear(img: PixelImage, out_w: int, out_h: int) -> PixelImage:
 
 
 def _hsv_planes(values: np.ndarray):
-    """The h, s and v planes of (h, w, 3) RGB values; see rgb_to_hsv."""
+    """Hexcone h, s and v planes of (h, w, 3) RGB values; h is a [0, 1) fraction, h = 0
+    wherever s = 0: h = (q + 0, 2 or 4) / 6 in a red, green or blue sector,
+    q = (g - b, b - r or r - g) / c (mod 6)."""
     r, g, b = values[..., 0], values[..., 1], values[..., 2]
     v = np.maximum(np.maximum(r, g), b)
     c = v - np.minimum(np.minimum(r, g), b)
@@ -82,12 +84,6 @@ def _hsv_planes(values: np.ndarray):
     h /= 6.0
     h[h >= 1.0] = 0.0  # the mod-6 rounding edge
     return h, s, v
-
-
-def rgb_to_hsv(img: PixelImage) -> np.ndarray:
-    """Hexcone RGB -> HSV; h is a [0, 1) fraction, h = 0 wherever s = 0: h = (q + 0, 2
-    or 4) / 6 in a red, green or blue sector, q = (g - b, b - r or r - g) / c (mod 6)."""
-    return np.stack(_hsv_planes(img.values), axis=-1)
 
 
 def extract_raw_features(img: PixelImage) -> np.ndarray:

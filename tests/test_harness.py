@@ -4,7 +4,10 @@ import os
 import shutil
 import stat
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,9 +369,52 @@ def test_cli_synth_and_knn(tmp_path, capsys):
     assert (tmp_path / "r.csv").exists() and (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("args, features, metric, bins", [
+    (["--metric", "manhattan"], "hsv_histogram", "manhattan", 8),
+    (["--metric", "hamming"], "hsv_histogram", "hamming", 8),
+    (["--metric", "minkowski", "--p", "3"], "hsv_histogram", "minkowski(p=3)", 8),
+    (["--features", "raw", "--metric", "manhattan"], "raw_pixel", "manhattan", 8),
+    (["--bins", "1"], "hsv_histogram", "euclidean", 1),
+    (["--bins", "16", "--metric", "manhattan"], "hsv_histogram", "manhattan", 16),
+], ids=["manhattan", "hamming", "minkowski-3", "raw-manhattan", "bins-1", "bins-16-manhattan"])
+def test_cli_knn_every_metric_and_bins_bound(small_synth, tmp_path, args, features, metric, bins):
+    """Every metric but euclidean takes the per-row search; --bins runs at both of its ends."""
+    prefix = tmp_path / "knn"
+    assert main(["knn", "--data", str(small_synth), *args, "--k", "1,3", "--folds", "2",
+                 "--out", str(prefix)]) == 0
+    summary = json.loads(prefix.with_suffix(".json").read_text())
+    assert (summary["config"]["features"], summary["config"]["metric"],
+            summary["config"]["bins"]) == (features, metric, bins)
+    assert [r["k"] for r in summary["results"]] == [1, 3] and summary["n_samples"] == 120
+
+
+def test_cli_reference_train_then_eval_counts_what_the_curve_implies(tmp_path):
+    """The reference net once: a partial last window chunk (40 images) and its 96 MB
+    checkpoint streamed back in. cnn-eval over the whole tree must count the correct
+    images, and give the mean loss, that the last curve row gives for the two splits."""
+    ds = tmp_path / "ds"
+    assert main(["synth", "--out", str(ds), "--n", "40", "--side", "32", "--seed", "1"]) == 0
+    assert main(["cnn-train", "--data", str(ds), "--epochs", "1",
+                 "--out", str(tmp_path / "ref")]) == 0
+    assert main(["cnn-eval", "--checkpoint", str(tmp_path / "ref.ckpt"), "--data", str(ds),
+                 "--out", str(tmp_path / "eval.json")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "ref.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    last = dict(zip(rows[0], map(float, rows[-1])))
+    train, val = train_val_split_indices([item.label for item in load_dataset(ds)], 0.2, 0)
+    from_curve = round(last["train_acc"] * train.size) + round(last["val_acc"] * val.size)
+    report = json.loads((tmp_path / "eval.json").read_text())
+    assert report["n_samples"] == 40
+    assert round(report["accuracy"] * report["n_samples"]) == from_curve
+    # 1 epoch may leave every image in one class, so the loss tells the weights apart
+    loss = (last["train_loss"] * train.size + last["val_loss"] * val.size) / 40
+    assert report["loss"] == pytest.approx(loss, abs=1e-6)
+
+
 def test_cli_exit_code_config_error(tmp_path, capsys):
+    """16 images run knn's defaults (k=10, 4 folds), so each case fails on its own fault."""
     out = tmp_path / "ds"
-    main(["synth", "--out", str(out), "--n", "12", "--side", "24", "--seed", "0"])
+    main(["synth", "--out", str(out), "--n", "16", "--side", "24", "--seed", "0"])
     capsys.readouterr()
     for args in (["knn", "--k", "50", "--folds", "2"],
                  ["knn", "--folds", "1"],
@@ -383,13 +429,17 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                  ["knn", "--bins", "1000"],  # would ask for 8 GB per image
                  ["cnn-train", "--reduced", "--batch", "0"],
                  ["cnn-train", "--batch", "1"],  # batch norm cannot train on one sample
-                 ["cnn-train", "--reduced", "--batch", "9"],  # 10 training images: a trailing 1
+                 ["cnn-train", "--reduced", "--batch", "11"],  # 12 training images: a trailing 1
+                 ["cnn-train", "--val-frac", "1.5"],
                  ["knn", "--k", "1-1000000000000"],  # over the 2**20-value cap
+                 ["knn", "--k", "1,x"],
+                 ["knn", "--k", "0-1048575"],  # 2**20 values, one not positive: named, not listed
                  ["cnn-train", "--reduced", "--lr", "nan"],
                  ["cnn-train", "--reduced", "--lr", "0"],
                  ["cnn-train", "--reduced", "--lr", "1e39"],  # finite, but inf in float32
                  ["knn", "--metric", "minkowski", "--p", "nan"],
                  ["knn", "--metric", "minkowski", "--p", "inf"],
+                 ["knn", "--metric", "minkowski", "--p", "0.5", "--k", "1"],  # p < 1: not a metric
                  ["knn", "--metric", "euclidean", "--p", "3"],  # not dropped silently
                  ["synth", "--n", "1048577"],  # past the 2**20 cap, before any name is listed
                  # over the decoder's 4096x4096 limit; 100000 would not fit in memory
@@ -408,10 +458,11 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
         code = main([*args, *data, "--out", str(tmp_path / "x")])
         assert code == 2, args
         err = capsys.readouterr().err
+        assert len(err.encode()) < 200, (args, err[:200])
         assert err.startswith("configuration error") and err.count("\n") == 1, err
         assert not (tmp_path / "x.ckpt").exists(), args
         assert not (tmp_path / "x").exists(), args
-    # synth into another run's tree (6 + 6 images) is refused before it writes
+    # synth into another run's tree (8 + 8 images) is refused before it writes
     before = sorted(p.name for p in out.rglob("*"))
     assert main(["synth", "--out", str(out), "--n", "10", "--side", "24", "--seed", "0"]) == 2
     err = capsys.readouterr().err
@@ -503,12 +554,32 @@ def test_cli_exit_code_integrity_error(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1, err
 
 
-def test_cli_minkowski_p_validation(tmp_path, capsys):
-    out = tmp_path / "ds"
-    main(["synth", "--out", str(out), "--n", "12", "--side", "24", "--seed", "0"])
-    code = main(["knn", "--data", str(out), "--metric", "minkowski", "--p", "0.5",
-                 "--k", "1", "--out", str(tmp_path / "x")])
-    assert code == 2
+def test_cli_as_a_process_ends_each_error_with_its_code_and_one_line(tmp_path):
+    """`python -m cellgrade.cli` with warnings as errors: the exit code reaches the shell."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONWARNINGS="error",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-m", "cellgrade.cli", *map(str, args)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stderr
+
+    ds = tmp_path / "ds"
+    assert run("synth", "--out", ds, "--n", "12", "--side", "24") == (0, "")
+    net = nn.reduced_network()
+    reduced = tmp_path / "reduced.ckpt"
+    save_checkpoint(nn.init_params(net, 0), net, reduced)
+    head = tmp_path / "head.ckpt"
+    head.write_bytes(reduced.read_bytes()[:1000])
+    says = {2: "configuration error: ", 3: "data error: ", 4: "integrity error: "}
+    for args, code in ((["knn", "--data", ds, "--k", "1,x"], 2),
+                       (["knn", "--data", tmp_path / "missing"], 3),
+                       (["cnn-eval", "--checkpoint", head, "--reduced", "--data", ds], 4),
+                       # the reduced net's checkpoint read as the reference net
+                       (["cnn-eval", "--checkpoint", reduced, "--data", ds], 4)):
+        got, err = run(*args, "--out", tmp_path / "x")
+        assert got == code and err.startswith(says[code]) and err.count("\n") == 1, (args, got, err)
 
 
 def test_parse_k_list():

@@ -15,12 +15,16 @@ from cellgrade.imaging import (
     extract_raw_features,
     image_to_tensor,
     resize_bilinear,
-    rgb_to_hsv,
 )
 
 
 def solid(rgb, h=4, w=4):
     return PixelImage(np.broadcast_to(np.asarray(rgb, dtype=np.float64), (h, w, 3)).copy())
+
+
+def rgb_to_hsv(values):
+    """(h, w, 3) hexcone (h, s, v) of (h, w, 3) RGB values, as the histogram bins them."""
+    return np.stack(imaging._hsv_planes(values), axis=-1)
 
 
 rgb_images = arrays(np.float64, (5, 6, 3),
@@ -146,25 +150,24 @@ def test_resize_rejects_bad_size():
     ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
 ])
 def test_rgb_to_hsv_known_values(rgb, expected):
-    hsv = rgb_to_hsv(solid(rgb, 1, 1))
+    hsv = rgb_to_hsv(np.array([[rgb]]))
     np.testing.assert_allclose(hsv[0, 0], expected, atol=1e-12)
 
 
 @given(rgb_images)
 @settings(max_examples=100, deadline=None)
 def test_hsv_ranges_and_roundtrip(values):
-    img = PixelImage(values)
-    hsv = rgb_to_hsv(img)
+    hsv = rgb_to_hsv(values)
     h, s, v = hsv[..., 0], hsv[..., 1], hsv[..., 2]
     assert np.all((h >= 0) & (h < 1)) and np.all((s >= 0) & (s <= 1)) and np.all((v >= 0) & (v <= 1))
     assert np.all(h[s == 0] == 0.0)
     back = np.array([colorsys.hsv_to_rgb(*px) for px in hsv.reshape(-1, 3)]).reshape(hsv.shape)
     chromatic = s > 0
-    np.testing.assert_allclose(back[chromatic], img.values[chromatic], atol=1e-6)
+    np.testing.assert_allclose(back[chromatic], values[chromatic], atol=1e-6)
 
 
 def select_hsv(values):
-    """The np.select form rgb_to_hsv replaced: every sector's hue built for every
+    """The np.select form _hsv_planes replaced: every sector's hue built for every
     pixel, then picked by [grey, v == r, v == g, else]; returns the h, s, v planes."""
     r, g, b = values[..., 0], values[..., 1], values[..., 2]
     v = np.maximum(np.maximum(r, g), b)
@@ -215,7 +218,7 @@ def hue_ties(seed, n=4000):
 @pytest.mark.parametrize("seed", range(4))
 def test_rgb_to_hsv_is_bitwise_the_select_form(seed):
     values = hue_ties(seed)
-    assert rgb_to_hsv(PixelImage(values)).tobytes() == np.stack(select_hsv(values), axis=-1).tobytes()
+    assert rgb_to_hsv(values).tobytes() == np.stack(select_hsv(values), axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("bins", range(1, 17))
@@ -281,7 +284,7 @@ def tally_oracle(pixels, bins):
     """Per-pixel Python tally, independent of the vectorized implementation."""
     counts = [0] * bins**3
     for r, g, b in pixels:
-        h, s, v = rgb_to_hsv(PixelImage(np.array([[[r, g, b]]])))[0, 0]
+        h, s, v = rgb_to_hsv(np.array([[[r, g, b]]]))[0, 0]
         hb = min(int(h * bins), bins - 1)
         sb = min(int(s * bins), bins - 1)
         vb = min(int(v * bins), bins - 1)

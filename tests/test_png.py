@@ -183,9 +183,13 @@ def test_knn_skips_malformed_headers(tmp_path):
     data.synth_generate(tmp_path, 8, 0.5, side=16, seed=2)
     for name, (body, _) in MALFORMED_HEADERS.items():
         (tmp_path / "Parasitized" / f"{name}.png").write_bytes(body)
+    # a well-formed single-row PNG, refused from its header alone
+    thin = png.encode_rgb8(np.zeros((1, 65536, 3), np.uint8))
+    (tmp_path / "Uninfected" / "thin.png").write_bytes(thin)
     summary = harness.cmd_knn(tmp_path, "raw", EUCLIDEAN, [1], folds=2)
     assert summary["n_samples"] == 8
     reasons = {s["id"]: s["reason"] for s in summary["skipped"]}
+    assert reasons.pop("Uninfected/thin.png") == "image 65536x1 exceeds the width + height limit 16384"
     assert reasons.keys() == {f"Parasitized/{name}.png" for name in MALFORMED_HEADERS}
     for name, (_, message) in MALFORMED_HEADERS.items():
         assert re.match(message, reasons[f"Parasitized/{name}.png"]), name
