@@ -10,6 +10,11 @@ are not part of the config, so re-running a command with the same inputs
 and seed reproduces the payload byte-for-byte. CSV, JSON and checkpoint
 files are written atomically (temp file + rename), text with "\\n" newlines.
 
+cmd_knn, cmd_cnn_train and cmd_cnn_eval always write their files, to a
+required keyword path, and return their payload. Their signatures hold the
+only parameter defaults: the CLI passes just the flags it was given.
+cmd_synth is data.synth_generate.
+
 Checkpoint format (version 1, all little-endian)
 ------------------------------------------------
     magic            4 bytes  "MCLS"
@@ -53,7 +58,8 @@ import numpy as np
 from . import __version__
 from .data import DatasetItem, check_val_fraction, load_dataset, synth_generate, train_val_split_indices
 from .errors import ConfigError, DataError, IntegrityError
-from .imaging import decode_image, extract_histogram_features, extract_raw_features, image_to_tensor
+from .imaging import (DEFAULT_BINS, MAX_BINS, decode_image, extract_histogram_features,
+                      extract_raw_features, image_to_tensor)
 from .knn import DistanceMetric, check_sweep, k_sweep
 from .nn import (
     NetworkSpec,
@@ -134,7 +140,7 @@ def _decode_each(dataset: tuple[DatasetItem, ...], convert):
     return np.stack(rows), np.array(labels, dtype=np.int64), skipped
 
 
-def extract_feature_matrix(dataset: tuple[DatasetItem, ...], kind: str, bins: int = 8):
+def extract_feature_matrix(dataset: tuple[DatasetItem, ...], kind: str, bins: int = DEFAULT_BINS):
     """(features, labels, skipped) for every decodable image in the dataset."""
     if kind == "raw_pixel":
         return _decode_each(dataset, extract_raw_features)
@@ -255,19 +261,16 @@ def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
 # Commands
 # --------------------------------------------------------------------------
 
-_FEATURE_KINDS = {"raw": "raw_pixel", "hist": "hsv_histogram"}
-# Histogram features have bins**3 float64 dims: 16 gives 4096, the order of the
-# 3072-dim raw vector, while 100 would make a 600-image feature matrix 4.8 GB.
-_MAX_BINS = 16
+FEATURE_KINDS = {"raw": "raw_pixel", "hist": "hsv_histogram"}
 
 
 def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceMetric("euclidean"),
-            k_values=(10,), folds: int = 4, seed: int = 0, bins: int = 8,
-            out_prefix=None) -> dict:
-    """Cross-validated kNN over the chosen features; writes CSV + JSON summary."""
-    kind = _FEATURE_KINDS.get(features, features)
-    if not 1 <= bins <= _MAX_BINS:
-        raise ConfigError(f"bins must be 1 to {_MAX_BINS}, got {bins}")
+            k_values=(10,), folds: int = 4, seed: int = 0, bins: int = DEFAULT_BINS, *,
+            out_prefix) -> dict:
+    """Cross-validated kNN over the chosen features; writes PREFIX.csv and PREFIX.json."""
+    kind = FEATURE_KINDS.get(features, features)
+    if not 1 <= bins <= MAX_BINS:
+        raise ConfigError(f"bins must be 1 to {MAX_BINS}, got {bins}")
     k_values = check_sweep(k_values, folds)  # before the decode, which takes far longer
     dataset = load_dataset(data_dir)
     x, y, skipped = extract_feature_matrix(dataset, kind, bins)
@@ -296,16 +299,15 @@ def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceM
         "best_k": int(best_k),
         "best_mean_accuracy": means[best_k],
     }
-    if out_prefix is not None:
-        extra = {"fold_hash": reports[0].fold_hash, "skipped": len(skipped)}
-        _write_csv(f"{out_prefix}.csv", config, KNN_CSV_HEADER, rows, extra)
-        _write_json(f"{out_prefix}.json", summary)
+    extra = {"fold_hash": reports[0].fold_hash, "skipped": len(skipped)}
+    _write_csv(f"{out_prefix}.csv", config, KNN_CSV_HEADER, rows, extra)
+    _write_json(f"{out_prefix}.json", summary)
     return summary
 
 
 def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size: int = 32,
-                  lr: float = 1e-3, seed: int = 0, val_frac: float = 0.2,
-                  out_prefix=None, progress=None) -> dict:
+                  lr: float = 1e-3, seed: int = 0, val_frac: float = 0.2, *,
+                  out_prefix, progress=None) -> dict:
     """Train the CNN from scratch; writes PREFIX.csv (per-epoch curve) and PREFIX.ckpt.
 
     The CSV's train/val metrics are eval-mode passes over each split at the
@@ -341,9 +343,8 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
         "input_side": side,
     }
     curve = []
-    ckpt = f"{out_prefix}.ckpt" if out_prefix is not None else None
-    if ckpt is not None:
-        save_checkpoint(params, net, ckpt)
+    ckpt = f"{out_prefix}.ckpt"
+    save_checkpoint(params, net, ckpt)
     for epoch in range(epochs):
         train_epoch(net, params, x_train, y_train, batch_size, train_rng, lr=lr)
         train_loss, train_acc, _ = evaluate(net, params, x_train, y_train)
@@ -353,12 +354,10 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
         curve.append(record)
         if progress is not None:
             progress(record)
-        if ckpt is not None:
-            save_checkpoint(params, net, ckpt)
-    if out_prefix is not None:
-        metrics = CNN_CSV_HEADER.split(",")[1:]
-        rows = [[rec["epoch"], *(repr(float(rec[k])) for k in metrics)] for rec in curve]
-        _write_csv(f"{out_prefix}.csv", config, CNN_CSV_HEADER, rows, {"skipped": len(skipped)})
+        save_checkpoint(params, net, ckpt)
+    metrics = CNN_CSV_HEADER.split(",")[1:]
+    rows = [[rec["epoch"], *(repr(float(rec[k])) for k in metrics)] for rec in curve]
+    _write_csv(f"{out_prefix}.csv", config, CNN_CSV_HEADER, rows, {"skipped": len(skipped)})
     return {
         "version": __version__,
         "config": config,
@@ -370,8 +369,8 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     }
 
 
-def cmd_cnn_eval(checkpoint, data_dir, out_path=None, reduced: bool = False) -> dict:
-    """Eval-mode accuracy and confusion counts for a checkpoint over a dataset."""
+def cmd_cnn_eval(checkpoint, data_dir, *, out_path, reduced: bool = False) -> dict:
+    """Eval-mode accuracy and confusion counts for a checkpoint over a dataset; writes out_path."""
     net = reduced_network() if reduced else reference_network()
     params, digest = load_checkpoint(checkpoint, net)
     dataset = load_dataset(data_dir)
@@ -391,11 +390,8 @@ def cmd_cnn_eval(checkpoint, data_dir, out_path=None, reduced: bool = False) -> 
         "n_samples": int(y.size),
         "skipped": skipped,
     }
-    if out_path is not None:
-        _write_json(out_path, report)
+    _write_json(out_path, report)
     return report
 
 
-def cmd_synth(out_dir, n: int, fraction: float = 0.5, side: int = 64, seed: int = 0) -> dict:
-    """Generate the synthetic dataset (delegates to data.synth_generate)."""
-    return synth_generate(out_dir, n, fraction, side, seed)
+cmd_synth = synth_generate

@@ -21,6 +21,9 @@ from . import png
 
 RAW_SIDE = 32
 DEFAULT_BINS = 8
+# Histogram features have bins**3 float64 dims: 16 gives 4096, the order of the
+# 3072-dim raw vector, while 100 would make a 600-image feature matrix 4.8 GB.
+MAX_BINS = 16
 # Hue offset at 2*red + green + 4*(q < 0), red taking v == r == g: blue 4, green 2, red 0 (6 if q < 0).
 _HUE_OFFSETS = np.array([4.0, 2.0, 0.0, 0.0, 4.0, 2.0, 6.0, 6.0])
 
@@ -101,8 +104,8 @@ def _hsv_bins(values: np.ndarray, bins: int) -> np.ndarray:
 def extract_histogram_features(img: PixelImage, bins_per_channel: int = DEFAULT_BINS) -> np.ndarray:
     """Joint (h, s, v) histogram, flattened in (h, s, v) index order, L1-normalized."""
     bins = bins_per_channel
-    if bins < 1:
-        raise ValueError(f"bins_per_channel must be >= 1, got {bins}")
+    if not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"bins_per_channel must be 1 to {MAX_BINS}, got {bins}")
     if img.values.size == 0:
         raise ValueError("cannot build a histogram of an empty image")
     counts = np.bincount(_hsv_bins(img.values, bins), minlength=bins**3).astype(np.float64)

@@ -17,7 +17,7 @@ import numpy as np
 from .data import stratified_fold_indices, fold_assignment_hash
 from .errors import ConfigError, ShapeError
 
-_VARIANTS = ("euclidean", "manhattan", "hamming", "minkowski")
+VARIANTS = ("euclidean", "manhattan", "hamming", "minkowski")
 
 # Cap on each euclidean proposal block in _nearest (queries x train rows), in float64 elements.
 _CHUNK_ELEMENTS = 4_000_000
@@ -32,8 +32,8 @@ class DistanceMetric:
     p: float | None = None
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ConfigError(f"unknown metric {self.variant!r}, expected one of {_VARIANTS}")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown metric {self.variant!r}, expected one of {VARIANTS}")
         if self.variant == "minkowski":
             if self.p is None:
                 raise ConfigError("minkowski metric needs an exponent p")

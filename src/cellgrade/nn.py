@@ -748,16 +748,16 @@ def train_epoch(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarr
         commit_bn_updates(net, params, caches)
 
 
-def evaluate(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarray,
-             batch_size: int = 64):
+_EVAL_BATCH = 64  # samples per eval-mode forward pass in evaluate
+
+
+def evaluate(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.ndarray):
     """Eval-mode loss, accuracy, and predicted labels over a whole dataset."""
     _check_data("evaluate", net, x, y)
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     n = x.shape[0]
     loss_sum, preds = 0.0, []
-    for lo in range(0, n, batch_size):
-        xb, yb = x[lo : lo + batch_size], y[lo : lo + batch_size]
+    for lo in range(0, n, _EVAL_BATCH):
+        xb, yb = x[lo : lo + _EVAL_BATCH], y[lo : lo + _EVAL_BATCH]
         logits, _ = network_forward(net, params, xb)
         loss, probs, _ = softmax_cross_entropy(logits, yb)
         loss_sum += loss * xb.shape[0]

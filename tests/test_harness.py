@@ -14,7 +14,7 @@ import pytest
 
 import cellgrade.nn as nn
 from cellgrade import harness
-from cellgrade.cli import main, parse_k_list
+from cellgrade.cli import build_parser, main, parse_k_list
 from cellgrade.data import load_dataset, train_val_split_indices
 from cellgrade.errors import ConfigError, IntegrityError
 from cellgrade.harness import (
@@ -217,14 +217,15 @@ def test_cmd_knn_row_count_and_schema(small_synth, tmp_path):
     ([1, 1], 4, "listed more than once"), ([0, 3], 4, "positive"), ([], 4, "non-empty"),
     ([3], 1, "folds must be >= 2"),
 ])
-def test_cmd_knn_checks_k_and_folds_before_decoding(small_synth, monkeypatch, k_values, folds,
-                                                    match):
+def test_cmd_knn_checks_k_and_folds_before_decoding(small_synth, monkeypatch, tmp_path, k_values,
+                                                    folds, match):
     def no_decode(raw):
         raise AssertionError("decoded before the k and folds check")
 
     monkeypatch.setattr(harness, "decode_image", no_decode)
     with pytest.raises(ConfigError, match=match):
-        harness.cmd_knn(small_synth, k_values=k_values, folds=folds)
+        harness.cmd_knn(small_synth, k_values=k_values, folds=folds, out_prefix=str(tmp_path / "k"))
+    assert not any(tmp_path.iterdir())
 
 
 def test_cmd_knn_rerun_is_byte_identical(small_synth, tmp_path):
@@ -244,15 +245,16 @@ def test_cmd_knn_rerun_is_byte_identical(small_synth, tmp_path):
     (True, 32, 1.5, r"val_fraction must be in \(0, 1\), got 1.5"),
     (True, 32, 0.0, r"val_fraction must be in \(0, 1\), got 0.0"),
 ])
-def test_cmd_cnn_train_checks_batch_and_val_frac_before_decoding(small_synth, monkeypatch, reduced,
-                                                                 batch_size, val_frac, match):
+def test_cmd_cnn_train_checks_batch_and_val_frac_before_decoding(small_synth, monkeypatch, tmp_path,
+                                                                 reduced, batch_size, val_frac, match):
     def no_decode(raw):
         raise AssertionError("decoded before the batch and val_frac check")
 
     monkeypatch.setattr(harness, "decode_image", no_decode)
     with pytest.raises(ConfigError, match=match):
         harness.cmd_cnn_train(small_synth, reduced=reduced, epochs=1, batch_size=batch_size,
-                              val_frac=val_frac)
+                              val_frac=val_frac, out_prefix=str(tmp_path / "c"))
+    assert not any(tmp_path.iterdir())
 
 
 def test_cmd_cnn_train_checkpoint_starts_from_the_masters_first_word(small_synth, tmp_path):
@@ -304,12 +306,13 @@ def test_cnn_train_then_eval_on_train_split_matches(small_synth, tmp_path):
 def test_cmd_cnn_eval_confusion_partitions(small_synth, tmp_path):
     harness.cmd_cnn_train(small_synth, reduced=True, epochs=1, seed=4,
                           out_prefix=str(tmp_path / "m"))
-    report = harness.cmd_cnn_eval(tmp_path / "m.ckpt", small_synth, reduced=True)
+    report = harness.cmd_cnn_eval(tmp_path / "m.ckpt", small_synth, out_path=str(tmp_path / "e.json"),
+                                  reduced=True)
     assert sum(sum(row) for row in report["confusion"]) == report["n_samples"] == 120
     assert report["per_class_counts"] == {"uninfected": 60, "parasitized": 60}
 
 
-def test_cmd_cnn_train_keeps_one_copy_of_the_tensors(small_synth, monkeypatch):
+def test_cmd_cnn_train_keeps_one_copy_of_the_tensors(small_synth, monkeypatch, tmp_path):
     """Once training starts, the decoded tensors live on only as the two splits."""
     live = []
 
@@ -327,7 +330,8 @@ def test_cmd_cnn_train_keeps_one_copy_of_the_tensors(small_synth, monkeypatch):
         tracemalloc.start()
         try:
             with pytest.raises(Started):
-                harness.cmd_cnn_train(small_synth, reduced=True, epochs=1, seed=5)
+                harness.cmd_cnn_train(small_synth, reduced=True, epochs=1, seed=5,
+                                      out_prefix=str(tmp_path / "c"))
         finally:
             tracemalloc.stop()
     tensor_bytes = 120 * 32 * 32 * 3 * 4  # 120 images decoded at the reduced net's 32 px
@@ -367,6 +371,32 @@ def test_cli_synth_and_knn(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "best k" in captured
     assert (tmp_path / "r.csv").exists() and (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("args, given", [
+    (["knn", "--data", "D", "--out", "P"],
+     {"data_dir": "D", "out_prefix": "P", "metric": "euclidean", "p": None}),
+    (["cnn-train", "--data", "D", "--out", "P"], {"data_dir": "D", "out_prefix": "P"}),
+    (["cnn-eval", "--checkpoint", "C", "--data", "D", "--out", "P"],
+     {"checkpoint": "C", "data_dir": "D", "out_path": "P"}),
+    (["synth", "--out", "P", "--n", "8"], {"out_dir": "P", "n": 8}),
+], ids=["knn", "cnn-train", "cnn-eval", "synth"])
+def test_cli_holds_no_defaults(args, given):
+    """A flag left out reaches the harness as a missing keyword, so its default is the
+    signature's; knn's metric is built from --metric and --p before the call."""
+    assert vars(build_parser().parse_args(args)) == {"command": args[0], **given}
+
+
+def test_cli_and_library_defaults_agree(small_synth, tmp_path):
+    assert main(["knn", "--data", str(small_synth), "--out", str(tmp_path / "cli")]) == 0
+    harness.cmd_knn(small_synth, out_prefix=str(tmp_path / "lib"))
+    cli, lib = (json.loads((tmp_path / f"{name}.json").read_text()) for name in ("cli", "lib"))
+    assert cli["config"] == lib["config"]
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    assert main(["synth", "--out", str(tmp_path / "a"), "--n", "4"]) == 0
+    harness.cmd_synth(tmp_path / "b", 4)
+    a, b = (tmp_path / name / "manifest.json" for name in ("a", "b"))
+    assert a.read_bytes() == b.read_bytes()
 
 
 @pytest.mark.parametrize("args, features, metric, bins", [

@@ -1,4 +1,5 @@
 import colorsys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,19 @@ def test_histogram_normalized_and_nonnegative(values, bins):
     assert fv.shape == (bins**3,) and fv.dtype == np.float64
     assert np.all(fv >= 0)
     assert abs(fv.sum() - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("bins", [0, imaging.MAX_BINS + 1, 10**6])
+def test_histogram_bins_out_of_bounds_raise_before_counting(bins):
+    """10**6 bins per channel would ask bincount for 10**18 counts."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"must be 1 to 16, got {bins}$"):
+            extract_histogram_features(solid((0.2, 0.4, 0.6)), bins)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
 
 
 @given(rgb_images, st.randoms(use_true_random=False))

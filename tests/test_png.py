@@ -186,7 +186,7 @@ def test_knn_skips_malformed_headers(tmp_path):
     # a well-formed single-row PNG, refused from its header alone
     thin = png.encode_rgb8(np.zeros((1, 65536, 3), np.uint8))
     (tmp_path / "Uninfected" / "thin.png").write_bytes(thin)
-    summary = harness.cmd_knn(tmp_path, "raw", EUCLIDEAN, [1], folds=2)
+    summary = harness.cmd_knn(tmp_path, "raw", EUCLIDEAN, [1], folds=2, out_prefix=str(tmp_path / "k"))
     assert summary["n_samples"] == 8
     reasons = {s["id"]: s["reason"] for s in summary["skipped"]}
     assert reasons.pop("Uninfected/thin.png") == "image 65536x1 exceeds the width + height limit 16384"
