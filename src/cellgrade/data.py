@@ -43,7 +43,9 @@ _CLASS_DIRS = (("Parasitized", 1), ("Uninfected", 0))
 
 
 def _png_names(class_dir: Path) -> list[str]:
-    return [p.name for p in class_dir.iterdir() if p.is_file() and p.suffix.lower() == ".png"]
+    # a dangling link is listed, so its failed read is reported; a FIFO is not (its read blocks)
+    return [p.name for p in class_dir.iterdir()
+            if p.suffix.lower() == ".png" and (p.is_file() or not p.exists())]
 
 
 def load_dataset(root) -> tuple[DatasetItem, ...]:

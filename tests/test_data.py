@@ -18,14 +18,12 @@ from cellgrade.errors import ConfigError, DataError
 
 
 def make_tree(root, n_par, n_un):
-    from conftest import write_png
-
     (root / "Parasitized").mkdir(parents=True)
     (root / "Uninfected").mkdir(parents=True)
     for i in range(n_par):
-        write_png(root / "Parasitized" / f"p{i}.png", np.full((3, 3, 3), 100, dtype=np.uint8))
+        (root / "Parasitized" / f"p{i}.png").write_bytes(png.encode_rgb8(np.full((3, 3, 3), 100, np.uint8)))
     for i in range(n_un):
-        write_png(root / "Uninfected" / f"u{i}.png", np.full((3, 3, 3), 50, dtype=np.uint8))
+        (root / "Uninfected" / f"u{i}.png").write_bytes(png.encode_rgb8(np.full((3, 3, 3), 50, np.uint8)))
 
 
 # -- load_dataset -------------------------------------------------------------
@@ -61,14 +59,24 @@ def test_unreadable_file_is_skipped_with_report(tmp_path):
                  + png._chunk(b"IEND", b""))
     (tmp_path / "Parasitized" / "broken.png").write_bytes(b"not a png")
     (tmp_path / "Uninfected" / "huge.png").write_bytes(oversized)
+    dangling = tmp_path / "Parasitized" / "zz_dangling.png"
+    dangling.symlink_to(tmp_path / "gone.png")
     ds = load_dataset(tmp_path)
-    assert len(ds) == 6
+    assert len(ds) == 7
     x, y, skipped = harness.extract_feature_matrix(ds, "hsv_histogram")
     assert x.shape[0] == 4
     assert skipped == [
         {"id": "Parasitized/broken.png", "reason": "not a PNG: bad 8-byte signature at offset 0"},
+        {"id": "Parasitized/zz_dangling.png",
+         "reason": f"[Errno 2] No such file or directory: '{dangling}'"},
         {"id": "Uninfected/huge.png", "reason": "image 8000x8000 exceeds the 16777216-pixel limit"},
     ]
+
+
+def test_unknown_feature_kind_rejected(tmp_path):
+    make_tree(tmp_path, 2, 2)
+    with pytest.raises(ConfigError, match="unknown feature kind 'bogus'"):
+        harness.extract_feature_matrix(load_dataset(tmp_path), "bogus")
 
 
 # -- folds ----------------------------------------------------------------------

@@ -461,6 +461,7 @@ def test_cli_exit_code_config_error(tmp_path, capsys):
                  ["cnn-train", "--batch", "1"],  # batch norm cannot train on one sample
                  ["cnn-train", "--reduced", "--batch", "11"],  # 12 training images: a trailing 1
                  ["cnn-train", "--val-frac", "1.5"],
+                 ["cnn-train", "--reduced", "--val-frac", "0.01"],  # a degenerate split: no val image
                  ["knn", "--k", "1-1000000000000"],  # over the 2**20-value cap
                  ["knn", "--k", "1,x"],
                  ["knn", "--k", "0-1048575"],  # 2**20 values, one not positive: named, not listed
@@ -515,17 +516,22 @@ def test_cli_exit_code_data_error(tmp_path, capsys):
     main(["synth", "--out", str(out), "--n", "12", "--side", "24", "--seed", "0"])
     plain = tmp_path / "plain"
     plain.write_bytes(b"")
+    (tmp_path / "taken.csv").mkdir()  # knn's CSV cannot be renamed over a directory
     capsys.readouterr()
     for args in (["cnn-eval", "--checkpoint", str(tmp_path / "nonexistent.ckpt"), "--reduced",
                   "--out", str(tmp_path / "e.json")],
                  ["cnn-eval", "--checkpoint", str(out), "--reduced",
                   "--out", str(tmp_path / "e.json")],
                  ["knn", "--k", "1", "--folds", "2", "--out", str(plain / "x")],
-                 ["cnn-train", "--reduced", "--epochs", "0", "--out", str(plain / "x")]):
-        code = main([*args, "--data", str(out)])
+                 ["knn", "--k", "1", "--folds", "2", "--out", str(tmp_path / "taken")],
+                 ["cnn-train", "--reduced", "--epochs", "0", "--out", str(plain / "x")],
+                 ["synth", "--out", str(plain / "ds"), "--n", "4", "--side", "16"]):
+        data = [] if args[0] == "synth" else ["--data", str(out)]
+        code = main([*args, *data])
         assert code == 3, args
         err = capsys.readouterr().err
         assert err.startswith("data error") and err.count("\n") == 1, err
+    assert list(tmp_path.glob("taken.csv.*")) == []  # the temporary file was removed
     # a tree whose every PNG is cut short: each is skipped, then no image is left
     for path in out.rglob("*.png"):
         path.write_bytes(path.read_bytes()[:100])

@@ -324,6 +324,11 @@ def test_histogram_bins_out_of_bounds_raise_before_counting(bins):
     assert peak < 1 << 16, peak
 
 
+def test_histogram_of_an_empty_image_raises():
+    with pytest.raises(ValueError, match="empty image"):
+        extract_histogram_features(PixelImage(np.zeros((0, 4, 3))))
+
+
 @given(rgb_images, st.randoms(use_true_random=False))
 @settings(max_examples=40, deadline=None)
 def test_histogram_permutation_invariance(values, pyrandom):

@@ -115,6 +115,11 @@ def test_metric_without_p_rejected():
         DistanceMetric("euclidean", p=2.0)
 
 
+def test_unknown_metric_rejected():
+    with pytest.raises(ConfigError, match="unknown metric 'cosine'"):
+        DistanceMetric("cosine")
+
+
 @given(grid_vectors, st.sampled_from(["euclidean", "manhattan", "minkowski"]))
 @settings(max_examples=100, deadline=None)
 def test_metric_identity(a, variant):

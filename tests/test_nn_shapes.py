@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cellgrade import nn
-from cellgrade.errors import ShapeError
+from cellgrade.errors import ConfigError, ShapeError
 from cellgrade.prng import SeededPrng
 
 # Frozen audit table for the stock 64x64x3 network: rows are the layers that
@@ -97,6 +97,15 @@ def test_dense_needs_flat_input():
     net = nn.NetworkSpec((4, 4, 3), (nn.Dense(5),))
     with pytest.raises(ShapeError, match="flat"):
         nn.infer_shapes(net)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nn.Conv2D(0), lambda: nn.BatchNorm(0), lambda: nn.Dropout(1.0),
+    lambda: nn.MaxPool((0, 2)), lambda: nn.Dense(0),
+], ids=["conv2d", "batch_norm", "dropout", "max_pool", "dense"])
+def test_layer_sizes_out_of_range_rejected(make):
+    with pytest.raises(ConfigError):
+        make()
 
 
 def test_reduced_network_is_valid_and_small():

@@ -100,6 +100,11 @@ def test_encode_is_deterministic():
     assert png.encode_rgb8(pixels) == png.encode_rgb8(pixels.copy())
 
 
+def test_encode_rejects_a_float_array():
+    with pytest.raises(ValueError, match="uint8 array, got \\(2, 2, 3\\) float64"):
+        png.encode_rgb8(np.zeros((2, 2, 3)))
+
+
 def test_bad_signature():
     with pytest.raises(DecodeError, match="signature"):
         png.decode_rgb8(b"JFIF" + b"\x00" * 40)

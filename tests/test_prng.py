@@ -1,6 +1,7 @@
 """The PRNG is pinned bit-exactly; these tests hold it to that."""
 
 import numpy as np
+import pytest
 
 from cellgrade import prng
 from cellgrade.prng import GOLDEN_SEED0, SeededPrng
@@ -88,6 +89,8 @@ def test_below_bounds():
     draws = [rng.below(7) for _ in range(500)]
     assert min(draws) >= 0 and max(draws) <= 6
     assert len(set(draws)) == 7
+    with pytest.raises(ValueError, match="n >= 1, got 0"):
+        rng.below(0)
 
 
 def test_numpy_integer_seeds_draw_the_python_ints_words():
