@@ -122,22 +122,28 @@ def _write_json(path, payload: dict) -> None:
 # --------------------------------------------------------------------------
 
 def _decode_each(dataset: tuple[DatasetItem, ...], convert):
-    """(stacked convert(image) rows, labels, skipped) over the decodable images.
+    """(convert(image) rows, labels, skipped) over the decodable images.
 
-    Unreadable or malformed files are skipped and reported, not fatal.
+    Unreadable or malformed files are skipped and reported, not fatal. Rows go
+    straight into one array, allocated when the first image converts with one
+    row per file not yet skipped; the filled rows are returned as a view of it,
+    and the rows left for files skipped later are never written.
     """
-    rows, labels, skipped = [], [], []
+    rows, labels, skipped = None, [], []
     for item in dataset:
         try:
             img = decode_image(item.source.read_bytes())
         except (DataError, OSError) as exc:
             skipped.append({"id": item.sample_id, "reason": str(exc)})
             continue
-        rows.append(convert(img))
+        row = convert(img)
+        if rows is None:
+            rows = np.empty((len(dataset) - len(skipped), *row.shape), row.dtype)
+        rows[len(labels)] = row
         labels.append(item.label)
-    if not rows:
+    if rows is None:
         raise DataError("every image in the dataset failed to decode")
-    return np.stack(rows), np.array(labels, dtype=np.int64), skipped
+    return rows[: len(labels)], np.array(labels, dtype=np.int64), skipped
 
 
 def extract_feature_matrix(dataset: tuple[DatasetItem, ...], kind: str, bins: int = DEFAULT_BINS):

@@ -75,20 +75,24 @@ def _row_distances(metric: DistanceMetric, x: np.ndarray, q: np.ndarray, buf=Non
     euclidean: sqrt(sum((x-q)^2)); manhattan: sum(|x-q|); hamming: count of
     exactly unequal positions (meant for binary features, no thresholding);
     minkowski(p): (sum(|x-q|^p))^(1/p). Rows go through buf, a float64 scratch
-    of at least min(_ROW_BLOCK, N) rows of D, _ROW_BLOCK rows at a time."""
-    if metric.variant == "hamming":
-        return np.count_nonzero(x != q[None, :], axis=1).astype(np.float64)
+    of at least min(_ROW_BLOCK, N) rows of D, _ROW_BLOCK rows at a time; hamming
+    writes its unequal flags into the first D bytes of each of buf's rows."""
     out = np.empty(x.shape[0])
     buf = np.empty((min(_ROW_BLOCK, x.shape[0]), x.shape[1])) if buf is None else buf
     for lo in range(0, x.shape[0], _ROW_BLOCK):
-        diff = np.subtract(x[lo : lo + _ROW_BLOCK], q, out=buf[: min(_ROW_BLOCK, x.shape[0] - lo)])
+        rows = min(_ROW_BLOCK, x.shape[0] - lo)
+        if metric.variant == "hamming":
+            unequal = np.not_equal(x[lo : lo + rows], q, out=buf[:rows].view(np.bool_)[:, : x.shape[1]])
+            out[lo : lo + rows] = np.count_nonzero(unequal, axis=1)
+            continue
+        diff = np.subtract(x[lo : lo + rows], q, out=buf[:rows])
         (np.square if metric.variant == "euclidean" else np.abs)(diff, out=diff)
         if metric.variant == "minkowski":
             diff **= metric.p
-        np.sum(diff, axis=1, out=out[lo : lo + diff.shape[0]])
+        np.sum(diff, axis=1, out=out[lo : lo + rows])
     if metric.variant == "euclidean":
         return np.sqrt(out, out=out)
-    return out if metric.variant == "manhattan" else out ** (1.0 / metric.p)
+    return out ** (1.0 / metric.p) if metric.variant == "minkowski" else out
 
 
 def _nearest(metric: DistanceMetric, queries: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:

@@ -287,7 +287,12 @@ def test_criterion_7_extended_corpus(tmp_path):
     (640 cells, 2 epochs) measures 60-105 training samples/s, per-epoch eval
     passes (335-442 images/s) and checkpoint writes included, on the same VM,
     so the CNN leg's 22,046 training images x 10 epochs extrapolate to 35-61
-    minutes; no corpus-scale run has measured it yet.
+    minutes; no corpus-scale run has measured it yet. Each decode writes its
+    rows straight into one array, so the raw leg holds its 27,558 x 3072
+    float64 features (677 MB) once, the hist leg 113 MB at 512 dims, and the
+    CNN leg its 64 x 64 x 3 float32 tensors (1.35 GB) once; cmd_cnn_train
+    then copies them into the train and validation splits before it drops
+    them.
     """
     raw = harness.cmd_knn(NIH_DIR, "raw", EUCLIDEAN, [10], folds=4, seed=0,
                           out_prefix=str(tmp_path / "raw"))

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import cellgrade.nn as nn
-from cellgrade import harness
+from cellgrade import harness, imaging, png
 from cellgrade.cli import build_parser, main, parse_k_list
 from cellgrade.data import load_dataset, train_val_split_indices
-from cellgrade.errors import ConfigError, IntegrityError
+from cellgrade.errors import ConfigError, DataError, IntegrityError
 from cellgrade.harness import (
     load_checkpoint,
     save_checkpoint,
@@ -190,6 +190,86 @@ def test_checkpoint_missing_tensor(tmp_path, net_and_params):
     path.write_bytes(refix_checksum(data[:16] + struct.pack("<I", count - 1) + data[20:-24] + data[-8:]))
     with pytest.raises(IntegrityError, match=f"has {count - 1} tensors, expected {count}"):
         load_checkpoint(path, net)
+
+
+# -- dataset decode ----------------------------------------------------------------
+
+# Each command as a call on a dataset, beside the per-image conversion it stacks.
+DECODES = {
+    "raw": (lambda ds: harness.extract_feature_matrix(ds, "raw_pixel"), imaging.extract_raw_features),
+    "hist": (lambda ds: harness.extract_feature_matrix(ds, "hsv_histogram", 4),
+             lambda img: imaging.extract_histogram_features(img, 4)),
+    "tensor": (lambda ds: harness.load_tensor_batch(ds, 20),
+               lambda img: imaging.image_to_tensor(img, 20).astype(np.float32)),
+}
+
+
+def stacked_decode(dataset, convert):
+    """The reference: each decodable file converted on its own, then np.stack."""
+    rows, labels, skipped = [], [], []
+    for item in dataset:
+        try:
+            img = imaging.decode_image(item.source.read_bytes())
+        except (DataError, OSError) as exc:
+            skipped.append({"id": item.sample_id, "reason": str(exc)})
+            continue
+        rows.append(convert(img))
+        labels.append(item.label)
+    return np.stack(rows), np.array(labels, dtype=np.int64), skipped
+
+
+def decode_tree(root, n, bad=(), side=(9, 17)):
+    """n cells of random size and pixels, Parasitized before Uninfected; the files
+    at the positions in bad, in dataset order, are not PNGs."""
+    rng = np.random.default_rng(n)
+    for sub in ("Parasitized", "Uninfected"):
+        (root / sub).mkdir(parents=True)
+    for i in range(n):
+        path = root / ("Parasitized" if 2 * i < n else "Uninfected") / f"{i:03d}.png"
+        h, w = rng.integers(*side, size=2)
+        path.write_bytes(b"not a png" if i in bad else
+                         png.encode_rgb8(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)))
+    return load_dataset(root)
+
+
+@pytest.mark.parametrize("command", DECODES)
+@pytest.mark.parametrize("bad", [(), (0,), (5,), (0, 1, 2, 4, 5)], ids=["none", "first", "last", "all-but-one"])
+def test_decode_matches_a_stack_of_per_file_conversions(tmp_path, command, bad):
+    """The first file can fail before any row shape is known, and the last after the rows are sized."""
+    dataset = decode_tree(tmp_path, 6, bad)
+    decode, convert = DECODES[command]
+    x, y, skipped = decode(dataset)
+    want_x, want_y, want_skipped = stacked_decode(dataset, convert)
+    assert (x.dtype, x.shape) == (want_x.dtype, want_x.shape) and x.tobytes() == want_x.tobytes()
+    assert y.dtype == want_y.dtype and y.tolist() == want_y.tolist()
+    assert skipped == want_skipped and len(skipped) == len(bad)
+
+
+@pytest.mark.parametrize("command", DECODES)
+def test_decode_of_only_failing_files_raises(tmp_path, command):
+    dataset = decode_tree(tmp_path, 3, bad=range(3))
+    with pytest.raises(DataError, match="^every image in the dataset failed to decode$"):
+        DECODES[command][0](dataset)
+
+
+@pytest.mark.parametrize("command", ["raw", "tensor"])
+def test_decode_memory_is_the_output_and_one_image(tmp_path, command):
+    """Rows are written into the returned array, not kept in a list and stacked:
+    the peak is the output plus one image's decode and conversion (twice, as one
+    image's arrays live until the next one's replace them), where a list and a
+    stack hold the output twice."""
+    decode = DECODES[command][0]
+    one = decode_tree(tmp_path / "one", 1, side=(40, 41))
+    many = decode_tree(tmp_path / "many", 60, side=(40, 41))
+    peaks = []
+    for dataset in (one, one, many):  # the first pass also pays for lazy imports
+        tracemalloc.start()
+        try:
+            out_bytes = decode(dataset)[0].nbytes
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[-1] < out_bytes + 2 * peaks[1], (out_bytes, peaks)
 
 
 # -- knn command -------------------------------------------------------------------

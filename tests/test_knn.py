@@ -397,9 +397,11 @@ def test_nearest_is_exact_where_products_underflow():
             assert row.tolist() == expected.tolist()
 
 
-@pytest.mark.parametrize("metric", [EUCLIDEAN, MANHATTAN, minkowski(2.5)], ids=lambda m: m.label)
+@pytest.mark.parametrize("metric", [EUCLIDEAN, MANHATTAN, minkowski(2.5), HAMMING], ids=lambda m: m.label)
 def test_nearest_memory_is_a_few_train_matrices(metric):
-    m, n, d = 150, 450, 512
+    """A search holds row blocks of x and vectors of N, never an N x D temporary;
+    euclidean adds its (queries, N) proposal block and that block's temporaries."""
+    m, n, d = 60, 2048, 256
     rng = np.random.default_rng(16)
     queries, x = rng.uniform(size=(m, d)), rng.uniform(size=(n, d))
     tracemalloc.start()
@@ -408,7 +410,8 @@ def test_nearest_memory_is_a_few_train_matrices(metric):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * n * d * 8 + 2 * m * n * 8, peak / (n * d * 8)
+    bound = 3 * m * n * 8 * (metric is EUCLIDEAN) + 2 * knn._ROW_BLOCK * d * 8 + 8 * n * 8
+    assert peak < bound, peak / bound
 
 
 def test_non_binary_labels_rejected():
