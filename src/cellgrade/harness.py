@@ -15,7 +15,7 @@ required keyword path, and return their payload. Their signatures hold the
 only parameter defaults: the CLI passes just the flags it was given.
 cmd_synth is data.synth_generate.
 
-Checkpoint format (version 1, all little-endian)
+Checkpoint format (version 2, all little-endian)
 ------------------------------------------------
     magic            4 bytes  "MCLS"
     format version   uint32
@@ -30,18 +30,17 @@ Checkpoint format (version 1, all little-endian)
         values       float32 raw (rank 0 means a single scalar)
     checksum         uint64   first 8 bytes of SHA-256 over all preceding bytes
 
-The tensors are the weights and batch-norm moving statistics, the Adam
-moments as "<name>.m"/"<name>.v" and the step counter as a rank-0 tensor
-"step". Each is named "layer<i, two digits>/<kind>/<key>". The order is
-fixed by the network: layer by layer, each layer's tensors by sorted key,
-then "<key>.m" and "<key>.v" for each trainable key in sorted order; "step"
-comes last. No PRNG state is stored and nothing resumes training from a
-checkpoint. Loading verifies magic, version, checksum, and spec digest, in
-that order, and fails with a distinct message for each. It then reads the
-file against the network's own layout: the tensor count, and every entry's
-name, rank and dims, must be exactly the expected ones, so no size is taken
-from the file. The file is streamed: loading allocates the tensors and
-fixed-size read buffers, never a copy of the file.
+The tensors are what evaluation reads, one per tensor of param_shapes(net):
+the weights and batch-norm moving statistics, each named "layer<i, two
+digits>/<kind>/<key>", layer by layer and each layer's by sorted key. No Adam
+moment, step counter or PRNG state is stored, so nothing resumes training from
+a checkpoint. Loading refuses anything but a regular file, then verifies
+magic, version, checksum, and spec digest, in that order, with a distinct
+message for each. It then reads the file against the network's own layout:
+the tensor count, and every entry's name, rank and dims, must be exactly the
+expected ones, so no size is taken from the file. The file is streamed:
+loading allocates the tensors and fixed-size read buffers, never a copy of
+the file.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ import hashlib
 import json
 import os
 import secrets
+import stat
 import struct
 from pathlib import Path
 
@@ -75,7 +75,7 @@ from .nn import (
 from .prng import SeededPrng
 
 CHECKPOINT_MAGIC = b"MCLS"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _READ_BLOCK = 1 << 20  # bytes per read while a checkpoint's checksum is computed
 
 KNN_CSV_HEADER = "feature,metric,k,fold,accuracy"
@@ -170,14 +170,10 @@ def spec_digest(net: NetworkSpec) -> int:
 
 
 def _layout(net: NetworkSpec):
-    """(name, store, layer index, key, shape) of every tensor but "step", in file order."""
+    """(name, layer index, key, shape) of every tensor, in file order."""
     for i, (lay, shapes) in enumerate(zip(net.layers, param_shapes(net))):
-        base = f"layer{i:02d}/{lay.kind}"
         for key in sorted(shapes):
-            yield f"{base}/{key}", "layers", i, key, shapes[key]
-        for key in sorted(lay.trainable):
-            yield f"{base}/{key}.m", "adam_m", i, key, shapes[key]
-            yield f"{base}/{key}.v", "adam_v", i, key, shapes[key]
+            yield f"layer{i:02d}/{lay.kind}/{key}", i, key, shapes[key]
 
 
 def _entry_header(name: str, shape) -> bytes:
@@ -187,20 +183,18 @@ def _entry_header(name: str, shape) -> bytes:
 
 
 def save_checkpoint(params: ParamState, net: NetworkSpec, path) -> None:
-    """Serialize weights, Adam moments, and step; bit-exact round trip.
+    """Serialize the weights and batch-norm statistics, not Adam's state; bit-exact round trip.
 
     The file is hashed and written tensor by tensor: each chunk is a header's
     bytes or a view of a tensor's own buffer, so no copy of the payload is made.
     """
     layout = list(_layout(net))
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<IQI", CHECKPOINT_VERSION, spec_digest(net),
-                                            len(layout) + 1)]
-    for name, store, i, key, _ in layout:
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<IQI", CHECKPOINT_VERSION, spec_digest(net), len(layout))]
+    for name, i, key, _ in layout:
         # a view when the tensor is C-contiguous little-endian float32, as Adam keeps it
-        arr = np.ascontiguousarray(getattr(params, store)[i][key], dtype="<f4")
+        arr = np.ascontiguousarray(params.layers[i][key], dtype="<f4")
         # its own shape: a mismatch fails to load
         chunks += [_entry_header(name, arr.shape), memoryview(arr).cast("B")]
-    chunks += [_entry_header("step", ()), np.array(float(params.step), dtype="<f4").tobytes()]
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
@@ -209,16 +203,21 @@ def save_checkpoint(params: ParamState, net: NetworkSpec, path) -> None:
 
 
 def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
-    """Rebuild a ParamState for `net`, reading the file against `net`'s own layout.
+    """A ParamState for `net` that evaluates: the file's tensors, no Adam moments, step 0.
 
-    One pass reads each entry the layout expects straight into its tensor,
-    hashing what it keeps, then hashes the rest in _READ_BLOCK reads; the
-    checks follow in their documented order. So the tensors are the bytes the
-    checksum covered, and the file is never held whole.
+    The file is read against `net`'s own layout. One pass reads each entry the
+    layout expects straight into its tensor, hashing what it keeps, then hashes
+    the rest in _READ_BLOCK reads; the checks follow in their documented order.
+    So the tensors are the bytes the checksum covered, and the file is never
+    held whole.
     """
     layout = list(_layout(net))
-    with open(path, "rb") as f:
-        end = os.fstat(f.fileno()).st_size - 8  # the payload: all but the checksum
+    # O_NONBLOCK: a FIFO opens without waiting for a writer, and is then refused
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as f:
+        info = os.fstat(f.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise DataError(f"checkpoint {path} is not a regular file")
+        end = info.st_size - 8  # the payload: all but the checksum
         if end < 20:
             raise IntegrityError(f"checkpoint too small ({end + 8} bytes) to be valid")
         head = f.read(20)  # magic, version, spec digest and tensor count
@@ -228,7 +227,7 @@ def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
         if version != CHECKPOINT_VERSION:
             raise IntegrityError(f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}")
         hashed, tensors, misplaced = hashlib.sha256(head), [], None
-        for name, *_, shape in [*layout, ("step", ())]:
+        for name, *_, shape in layout:
             header, arr, pos = _entry_header(name, shape), np.empty(shape, "<f4"), f.tell()
             values = memoryview(arr.reshape(-1)).cast("B")
             hashed.update(got := f.read(min(len(header), end - pos)))
@@ -237,7 +236,7 @@ def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
                 break
             f.readinto(values)  # a short read leaves bytes the checksum then rejects
             hashed.update(values)
-            tensors.append(arr.astype(np.float32, copy=False))  # writable: Adam updates it
+            tensors.append(arr.astype(np.float32, copy=False))  # native byte order on any host
         last = f.tell()
         for lo in range(last, end, _READ_BLOCK):
             hashed.update(f.read(min(_READ_BLOCK, end - lo)))
@@ -248,19 +247,16 @@ def load_checkpoint(path, net: NetworkSpec) -> tuple[ParamState, int]:
     expected = spec_digest(net)
     if digest != expected:
         raise IntegrityError(f"spec digest mismatch: checkpoint has {digest:#x}, network is {expected:#x}")
-    if count != len(layout) + 1:
-        raise IntegrityError(f"checkpoint has {count} tensors, expected {len(layout) + 1}")
+    if count != len(layout):
+        raise IntegrityError(f"checkpoint has {count} tensors, expected {len(layout)}")
     if misplaced:
         raise IntegrityError(misplaced)
-    step = float(tensors.pop())
-    if not (step >= 0 and step.is_integer()):  # NaN and infinities fail too
-        raise IntegrityError(f"step must be a non-negative integer, got {step}")
     if last != end:
         raise IntegrityError(f"{end - last} trailing bytes after the last tensor")
-    stores = {store: [{} for _ in net.layers] for store in ("layers", "adam_m", "adam_v")}
-    for (_, store, i, key, _), arr in zip(layout, tensors):
-        stores[store][i][key] = arr
-    return ParamState(**stores, step=int(step)), digest
+    layers = [{} for _ in net.layers]
+    for (_, i, key, _), arr in zip(layout, tensors):
+        layers[i][key] = arr
+    return ParamState(layers, [{} for _ in layers], [{} for _ in layers]), digest
 
 
 # --------------------------------------------------------------------------

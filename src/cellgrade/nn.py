@@ -352,7 +352,8 @@ def reduced_network() -> NetworkSpec:
 
 @dataclass
 class ParamState:
-    """Per-layer parameter tensors plus Adam moment buffers and step count."""
+    """Per-layer parameter tensors plus Adam moment buffers and step count. A state
+    from harness.load_checkpoint evaluates and does not train: no moments, step 0."""
 
     layers: list[dict[str, np.ndarray]]
     adam_m: list[dict[str, np.ndarray]]

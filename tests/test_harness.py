@@ -52,9 +52,25 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "init.ckpt"
     save_checkpoint(nn.init_params(net, 0), net, path)
     data = path.read_bytes()
-    assert len(data) == 2_060_822
+    assert len(data) == 687_712
     assert hashlib.sha256(data).hexdigest() == (
-        "4d442f7ed4ba8f6874a214557a344b515e4896f2b941cb673dc37b443ddf9322")
+        "7585842df08a819f62d06d34fea58aa17b17933323c11ae7e43b80aa4587a15c")
+
+
+def test_checkpoint_holds_only_the_tensors_eval_reads(tmp_path):
+    """The reference net's file is the 20-byte header, one entry per tensor of
+    param_shapes (name length, name, rank, dims, 4 bytes per value) and the
+    8-byte checksum: any tensor stored beyond those makes it larger."""
+    net = nn.reference_network()
+    path = tmp_path / "ref.ckpt"
+    save_checkpoint(nn.init_params(net, 0), net, path)
+    entries = [(f"layer{i:02d}/{lay.kind}/{key}", shape)
+               for i, (lay, shapes) in enumerate(zip(net.layers, nn.param_shapes(net)))
+               for key, shape in shapes.items()]
+    size = 20 + sum(4 + len(name) + 4 + 8 * len(shape) + 4 * int(np.prod(shape))
+                    for name, shape in entries) + 8
+    assert path.stat().st_size == size == 31_903_052
+    assert struct.unpack("<I", path.read_bytes()[16:20]) == (len(entries),)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, net_and_params):
@@ -63,14 +79,12 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, net_and_params):
     save_checkpoint(params, net, path)
     loaded, digest = load_checkpoint(path, net)
     assert digest == spec_digest(net)
-    assert loaded.step == params.step
     for a, b in zip(params.layers, loaded.layers):
         assert sorted(a) == sorted(b)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
-    for a, b in zip(params.adam_m, loaded.adam_m):
-        for k in a:
-            np.testing.assert_array_equal(a[k], b[k])
+    # a loaded state evaluates: no moment tensors are made for it
+    assert loaded.adam_m == loaded.adam_v == [{} for _ in net.layers] and loaded.step == 0
 
 
 def test_checkpoint_roundtrip_preserves_eval_logits(tmp_path, net_and_params):
@@ -129,7 +143,7 @@ def test_checkpoint_load_streams_a_large_corrupt_file(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(IntegrityError, match="^payload checksum mismatch: stored 0x0, "
-                                                 "computed 0x3661cd62cacf6e55$"):
+                                                 "computed 0x61224a108c1f7dd0$"):
             load_checkpoint(path, nn.reduced_network())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -152,11 +166,12 @@ def test_checkpoint_unsupported_version(tmp_path, net_and_params):
     net, params = net_and_params
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, net, path)
-    data = bytearray(path.read_bytes())
-    data[4:8] = struct.pack("<I", harness.CHECKPOINT_VERSION + 1)
-    path.write_bytes(refix_checksum(bytes(data)))
-    with pytest.raises(IntegrityError, match="version 2"):
-        load_checkpoint(path, net)
+    good = path.read_bytes()
+    # version 1 also held the Adam moments and the step: it is refused, never misread
+    for version in (1, harness.CHECKPOINT_VERSION + 1):
+        path.write_bytes(refix_checksum(good[:4] + struct.pack("<I", version) + good[8:]))
+        with pytest.raises(IntegrityError, match=f"^unsupported checkpoint version {version}, expected 2$"):
+            load_checkpoint(path, net)
 
 
 def test_checkpoint_flipped_payload_byte(tmp_path, net_and_params):
@@ -184,10 +199,11 @@ def test_checkpoint_missing_tensor(tmp_path, net_and_params):
     net, params = net_and_params
     path = tmp_path / "m.ckpt"
     save_checkpoint(params, net, path)
-    # drop the step entry, the 16 bytes before the checksum, and count one tensor fewer
+    # drop the last entry, the dense weights, and count one tensor fewer
     data = path.read_bytes()
     (count,) = struct.unpack("<I", data[16:20])
-    path.write_bytes(refix_checksum(data[:16] + struct.pack("<I", count - 1) + data[20:-24] + data[-8:]))
+    last = data.index(b"layer04/dense/weights") - 4  # the entry starts with its name length
+    path.write_bytes(refix_checksum(data[:16] + struct.pack("<I", count - 1) + data[20:last] + data[-8:]))
     with pytest.raises(IntegrityError, match=f"has {count - 1} tensors, expected {count}"):
         load_checkpoint(path, net)
 
@@ -354,8 +370,7 @@ def test_cmd_cnn_train_epochs_zero(small_synth, tmp_path):
     body = [l for l in lines if l and not l.startswith("#")]
     assert body == ["epoch,train_loss,train_acc,val_loss,val_acc"]
     assert out["curve"] == []
-    loaded, _ = load_checkpoint(tmp_path / "cnn.ckpt", nn.reduced_network())
-    assert loaded.step == 0
+    load_checkpoint(tmp_path / "cnn.ckpt", nn.reduced_network())
 
 
 def test_cmd_cnn_train_makes_learning_progress(small_synth, tmp_path):
@@ -499,7 +514,7 @@ def test_cli_knn_every_metric_and_bins_bound(small_synth, tmp_path, args, featur
 
 
 def test_cli_reference_train_then_eval_counts_what_the_curve_implies(tmp_path):
-    """The reference net once: a partial last window chunk (40 images) and its 96 MB
+    """The reference net once: a partial last window chunk (40 images) and its 32 MB
     checkpoint streamed back in. cnn-eval over the whole tree must count the correct
     images, and give the mean loss, that the last curve row gives for the two splits."""
     ds = tmp_path / "ds"
@@ -634,32 +649,28 @@ def test_cli_exit_code_integrity_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 4 and err.startswith("integrity error") and says in err, err
         assert err.count("\n") == 1, err
-    # a correctly sealed checkpoint whose step is not a count: the step is the
-    # last tensor, its float32 value the 4 bytes before the checksum
+    # Sealed but malformed. Each entry is its name length, name, rank, dims and
+    # float32 values; the last is the dense weights, found by its name.
     save_checkpoint(nn.init_params(nn.reduced_network(), 0), nn.reduced_network(), bad)
     good = bad.read_bytes()
-    for step in (float("nan"), float("inf"), -1.0, 2.5):
-        bad.write_bytes(refix_checksum(good[:-12] + struct.pack("<f", step) + good[-8:]))
-        code = main(["cnn-eval", "--checkpoint", str(bad), "--data", str(out),
-                     "--reduced", "--out", str(tmp_path / "e.json")])
-        err = capsys.readouterr().err
-        assert code == 4 and "integrity error" in err and "step" in err, (step, err)
-        assert len(err.strip().splitlines()) == 1, err
-    # Sealed but malformed: the 16 bytes before the checksum are the step
-    # tensor, laid out as name length, b"step", rank 0 and its float32 value.
     (count,) = struct.unpack("<I", good[16:20])
-    step_entry = good[-24:-8]
-    # the first layer's bias.m and bias.v entries, equal in length, swapped
-    m_at = good.index(b"layer00/conv2d/bias.m") - 4
-    v_at = good.index(b"layer00/conv2d/bias.v") - 4
-    end = 2 * v_at - m_at
+    name = b"layer15/dense/weights"
+    at = good.index(name) - 4  # the entry starts with its name length
+    rank_at = at + 4 + len(name)
+    last_entry = good[at:-8]
+    # the batch-norm beta and gamma entries, adjacent, swapped: each boundary is
+    # found by name, since no two adjacent entries have the same byte length
+    beta, gamma, after = (good.index(b"layer01/batch_norm/" + key) - 4
+                          for key in (b"beta", b"gamma", b"moving_mean"))
     for body, says in (
-        (good[:-16] + struct.pack("<I2Q", 2, 2**32, 2**32) + good[-12:], "expected tensor 'step'"),  # 2**64 values
-        (good[:-20] + b"st\xffp" + good[-16:], "expected tensor 'step'"),
-        (good[:16] + struct.pack("<I", count + 1) + good[20:-8] + step_entry + good[-8:],
+        (good[:4] + struct.pack("<I", 1) + good[8:], "unsupported checkpoint version 1, expected 2"),
+        (good[:rank_at] + struct.pack("<I2Q", 2, 2**32, 2**32) + good[rank_at + 20:],  # 2**64 values
+         "expected tensor 'layer15/dense/weights'"),
+        (good[:rank_at - 2] + b"\xff" + good[rank_at - 1:], "expected tensor 'layer15/dense/weights'"),
+        (good[:16] + struct.pack("<I", count + 1) + good[20:-8] + last_entry + good[-8:],
          f"has {count + 1} tensors, expected {count}"),
-        (good[:m_at] + good[v_at:end] + good[m_at:v_at] + good[end:],
-         "expected tensor 'layer00/conv2d/bias.m'"),
+        (good[:beta] + good[gamma:after] + good[beta:gamma] + good[after:],
+         "expected tensor 'layer01/batch_norm/beta'"),
         (good[:-8] + bytes(3) + good[-8:], "3 trailing bytes after the last tensor"),
     ):
         bad.write_bytes(refix_checksum(body))
@@ -688,9 +699,12 @@ def test_cli_as_a_process_ends_each_error_with_its_code_and_one_line(tmp_path):
     save_checkpoint(nn.init_params(net, 0), net, reduced)
     head = tmp_path / "head.ckpt"
     head.write_bytes(reduced.read_bytes()[:1000])
+    fifo = tmp_path / "fifo.ckpt"
+    os.mkfifo(fifo)  # no process writes to it: opening it to read must not wait for one
     says = {2: "configuration error: ", 3: "data error: ", 4: "integrity error: "}
     for args, code in ((["knn", "--data", ds, "--k", "1,x"], 2),
                        (["knn", "--data", tmp_path / "missing"], 3),
+                       (["cnn-eval", "--checkpoint", fifo, "--reduced", "--data", ds], 3),
                        (["cnn-eval", "--checkpoint", head, "--reduced", "--data", ds], 4),
                        # the reduced net's checkpoint read as the reference net
                        (["cnn-eval", "--checkpoint", reduced, "--data", ds], 4)):
