@@ -138,7 +138,11 @@ def _decode_each(dataset: tuple[DatasetItem, ...], convert):
             continue
         row = convert(img)
         if rows is None:
-            rows = np.empty((len(dataset) - len(skipped), *row.shape), row.dtype)
+            n = len(dataset) - len(skipped)
+            try:
+                rows = np.empty((n, *row.shape), row.dtype)
+            except MemoryError:
+                raise DataError(f"no memory for {n} images of {row.nbytes} bytes each") from None
         rows[len(labels)] = row
         labels.append(item.label)
     if rows is None:
@@ -319,7 +323,7 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     with np.errstate(over="ignore"):
-        lr32 = np.float32(lr)  # the parameters' dtype, in which Adam applies lr
+        lr32 = np.float32(lr)  # the parameters' dtype, to which Adam rounds its step size
     if not (np.isfinite(lr32) and lr32 > 0):
         raise ConfigError(f"lr must be a finite float32 number > 0, got {lr}")
     net = reduced_network() if reduced else reference_network()

@@ -606,10 +606,11 @@ def adam_step(params: ParamState, grads, lr: float = 1e-3) -> None:
     its pair arrives and its gradients are dropped before the next is drawn.
     The step count t moves once per call. Each tensor is walked in blocks of
     _ADAM_BLOCK elements so the temporaries stay in cache. Per element the
-    operations and their order are those of
+    operations and their order are those of Kingma & Ba's section 2 form
+    (arXiv 1412.6980), as Keras computes it, eps being that form's eps-hat:
         m <- b1*m + (1-b1)*g;  v <- b2*v + ((1-b2)*g)*g
-        p <- p - (lr * (m/c1)) / (sqrt(v/c2) + eps)
-    with c1 = 1 - b1^t and c2 = 1 - b2^t, all in the parameter's dtype.
+        p <- p - (m*lr_t) / (sqrt(v) + eps),  lr_t = lr*sqrt(1 - b2^t)/(1 - b1^t)
+    with lr_t rounded once from float64 and the rest in the parameter's dtype.
     Batch-norm moving statistics are not trainable and are never touched.
     """
     params.step += 1
@@ -624,11 +625,13 @@ def _adam_layer(p, m, v, grads, t: int, lr: float) -> None:
     for key, grad in grads.items():
         if grad.shape != p[key].shape:
             raise ShapeError(f"adam_step: grad {grad.shape} vs param {p[key].shape} for {key!r}")
+        if key not in m:  # a state from harness.load_checkpoint has none
+            raise ConfigError(f"adam_step: no Adam moments for {key!r}: a loaded checkpoint does not train")
         dt = p[key].dtype
         b1, b2 = np.asarray(_ADAM_BETA1, dt), np.asarray(_ADAM_BETA2, dt)
         k1, k2 = 1 - b1, 1 - b2
-        c1, c2 = np.asarray(1.0 - _ADAM_BETA1**t, dt), np.asarray(1.0 - _ADAM_BETA2**t, dt)
-        lr_dt, eps_dt = np.asarray(lr, dt), np.asarray(_ADAM_EPS, dt)
+        lr_t = np.asarray(lr * math.sqrt(1.0 - _ADAM_BETA2**t) / (1.0 - _ADAM_BETA1**t), dt)
+        eps_dt = np.asarray(_ADAM_EPS, dt)
         tensors = (p[key], m[key], v[key])
         pf, mf, vf = flats = [a.reshape(-1) for a in tensors]  # copies if not contiguous
         gf = grad.reshape(-1)
@@ -644,10 +647,8 @@ def _adam_layer(p, m, v, grads, t: int, lr: float) -> None:
             np.multiply(gb, k2, out=a)
             np.multiply(a, gb, out=a)
             np.add(vb, a, out=vb)
-            np.divide(mb, c1, out=a)
-            np.multiply(a, lr_dt, out=a)
-            np.divide(vb, c2, out=b)
-            np.sqrt(b, out=b)
+            np.multiply(mb, lr_t, out=a)
+            np.sqrt(vb, out=b)
             np.add(b, eps_dt, out=b)
             np.divide(a, b, out=a)
             np.subtract(pb, a, out=pb)
@@ -805,24 +806,18 @@ def gradient_check(net: NetworkSpec, params: ParamState, x: np.ndarray, y: np.nd
         return loss
 
     per_layer: dict[int, tuple[str, float]] = {}
-    worst = 0.0
     for i, lay in enumerate(net.layers):
-        layer_worst = 0.0
+        errs = []
         for key in lay.trainable:
-            tensor = params.layers[i][key]
-            flat = tensor.reshape(-1)
-            picks = rng.permutation(flat.size)[: min(sample_count, flat.size)]
-            for j in picks:
+            flat = params.layers[i][key].reshape(-1)
+            for j in rng.permutation(flat.size)[:sample_count]:
                 orig = flat[j]
                 flat[j] = orig + h
                 up = loss_at()
                 flat[j] = orig - h
                 down = loss_at()
                 flat[j] = orig
-                numeric = (up - down) / (2 * h)
-                err = _rel_err(float(analytic[i][key].reshape(-1)[j]), numeric)
-                layer_worst = max(layer_worst, err)
+                errs.append(_rel_err(float(analytic[i][key].reshape(-1)[j]), (up - down) / (2 * h)))
         if lay.trainable:
-            per_layer[i] = (lay.kind, layer_worst)
-            worst = max(worst, layer_worst)
-    return GradCheckReport(per_layer, worst)
+            per_layer[i] = (lay.kind, max(errs, default=0.0))
+    return GradCheckReport(per_layer, max((err for _, err in per_layer.values()), default=0.0))

@@ -288,6 +288,18 @@ def test_decode_memory_is_the_output_and_one_image(tmp_path, command):
     assert peaks[-1] < out_bytes + 2 * peaks[1], (out_bytes, peaks)
 
 
+def test_decode_that_cannot_reserve_its_rows_raises_a_data_error(tmp_path):
+    """2^20 images of a 2^35-value float64 row ask for 2^58 bytes: more than a
+    64-bit host maps, less than numpy's size limit. The row is a broadcast view,
+    so nothing of that size is ever made."""
+    def huge_row(img):
+        return np.broadcast_to(np.zeros(1), (1 << 35,))
+
+    item = decode_tree(tmp_path, 1)[0]
+    with pytest.raises(DataError, match=f"^no memory for {1 << 20} images of {1 << 38} bytes each$"):
+        harness._decode_each((item,) * (1 << 20), huge_row)
+
+
 # -- knn command -------------------------------------------------------------------
 
 def test_cmd_knn_row_count_and_schema(small_synth, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cellgrade.nn as nn
+from cellgrade import harness
 from cellgrade.errors import ConfigError, ShapeError
 from cellgrade.prng import SeededPrng
 
@@ -93,8 +94,32 @@ def test_adam_never_touches_moving_statistics():
     np.testing.assert_array_equal(params.layers[1]["moving_var"], np.ones(3, dtype=np.float32))
 
 
+def test_adam_eps_is_kingma_and_bas_eps_hat():
+    """eps is added to sqrt(v), not to sqrt(v / (1 - b2^t)). At a gradient of 1e-7
+    the first step is lr*sqrt(1-b2)/(sqrt(1-b2) + 1); eps on the corrected root
+    would give lr/2."""
+    net = nn.NetworkSpec((1,), (nn.Dense(1),))
+    params = nn.init_params(net, 1, dtype=np.float64)
+    w0 = params.layers[0]["weights"].copy()
+    grads = [{"weights": np.full((1, 1), 1e-7), "bias": np.zeros(1)}]
+    nn.adam_step(params, enumerate(grads), lr=0.01)
+    delta = (w0 - params.layers[0]["weights"]).item()
+    root = np.sqrt(1 - 0.999)
+    assert delta == pytest.approx(0.01 * root / (root + 1), rel=1e-12)
+    assert delta == pytest.approx(3.065e-4, rel=1e-3)
+
+
+def test_adam_on_a_loaded_checkpoint_state_raises(tmp_path):
+    net, params, x, y = reduced_step_inputs()
+    harness.save_checkpoint(params, net, tmp_path / "m.ckpt")
+    loaded, _ = harness.load_checkpoint(tmp_path / "m.ckpt", net)
+    with pytest.raises(ConfigError, match="no Adam moments .* a loaded checkpoint does not train"):
+        nn.train_epoch(net, loaded, x, y, batch_size=8, lr=1e-3, rng=SeededPrng(0))
+
+
 def adam_unfused(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-7):
-    """The whole-tensor Adam update that the blocked adam_step replaced."""
+    """The whole-tensor update, in Kingma & Ba's section 2 form, that the blocked
+    adam_step computes."""
     params.step += 1
     t = params.step
     for p, m, v, g in zip(params.layers, params.adam_m, params.adam_v, grads):
@@ -103,9 +128,8 @@ def adam_unfused(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-7):
             b1, b2 = np.asarray(beta1, dt), np.asarray(beta2, dt)
             m[key] = b1 * m[key] + (1 - b1) * grad
             v[key] = b2 * v[key] + (1 - b2) * grad * grad
-            m_hat = m[key] / np.asarray(1.0 - beta1**t, dt)
-            v_hat = v[key] / np.asarray(1.0 - beta2**t, dt)
-            p[key] -= np.asarray(lr, dt) * m_hat / (np.sqrt(v_hat) + np.asarray(eps, dt))
+            lr_t = np.asarray(lr * np.sqrt(1.0 - beta2**t) / (1.0 - beta1**t), dt)
+            p[key] -= m[key] * lr_t / (np.sqrt(v[key]) + np.asarray(eps, dt))
 
 
 def one_tensor_state(values):
