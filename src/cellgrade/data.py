@@ -1,4 +1,4 @@
-"""Dataset ingestion, deterministic splits, and a synthetic cell generator.
+"""Dataset ingestion, deterministic splits, in-place row moves, and a synthetic cell generator.
 
 The on-disk layout matches the public malaria corpus: a root directory with
 ``Parasitized/`` and ``Uninfected/`` subdirectories of PNG files. Label 0 is
@@ -115,6 +115,39 @@ def train_val_split_indices(labels, val_fraction: float, seed: int):
             f"degenerate split: {train_idx.size} train / {val_idx.size} val samples"
         )
     return train_idx, val_idx
+
+
+def move_rows_last(x: np.ndarray, rows) -> int:
+    """Move the rows `rows` (ascending) of x behind the others, in place; returns
+    front, the first moved row's new index. Each group keeps its order, so x[:front] is
+    the old x[others] and x[front:] the old x[rows]. Only the moved rows are
+    copied: the others shift by pieces no longer than their shift, so no piece
+    overlaps its destination and numpy needs no buffer. move_rows_back undoes it."""
+    rows = np.asarray(rows, dtype=np.intp)
+    moved = x[rows]
+    ends = np.append(rows, x.shape[0])
+    for shift in range(1, rows.size + 1):
+        lo, hi = ends[shift - 1] + 1, ends[shift]
+        for a in range(lo, hi, shift):
+            b = min(a + shift, hi)
+            x[a - shift : b - shift] = x[a:b]
+    front = x.shape[0] - rows.size
+    x[front:] = moved
+    return front
+
+
+def move_rows_back(x: np.ndarray, rows) -> None:
+    """Undo move_rows_last(x, rows) in place, copying only the moved rows."""
+    rows = np.asarray(rows, dtype=np.intp)
+    front = x.shape[0] - rows.size
+    moved = x[front:].copy()
+    ends = np.append(rows, x.shape[0])
+    for shift in range(rows.size, 0, -1):
+        lo, hi = ends[shift - 1] + 1, ends[shift]
+        for b in range(hi, lo, -shift):
+            a = max(b - shift, lo)
+            x[a:b] = x[a - shift : b - shift]
+    x[rows] = moved
 
 
 # --------------------------------------------------------------------------

@@ -56,7 +56,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DatasetItem, check_val_fraction, load_dataset, synth_generate, train_val_split_indices
+from .data import (DatasetItem, check_val_fraction, load_dataset, move_rows_last, synth_generate,
+                   train_val_split_indices)
 from .errors import ConfigError, DataError, IntegrityError
 from .imaging import (DEFAULT_BINS, MAX_BINS, decode_image, extract_histogram_features,
                       extract_raw_features, image_to_tensor)
@@ -333,9 +334,9 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     dataset = load_dataset(data_dir)
     x, y, skipped = load_tensor_batch(dataset, side)
     train_idx, val_idx = train_val_split_indices(y, val_frac, seed)
-    x_train, y_train = x[train_idx], y[train_idx]
-    x_val, y_val = x[val_idx], y[val_idx]
-    del x  # the splits are copies: keep one set of tensors alive, not two
+    front = move_rows_last(x, val_idx)  # both splits are views of the one decoded array
+    x_train, y_train = x[:front], y[train_idx]
+    x_val, y_val = x[front:], y[val_idx]
     check_batch_size(net, batch_size, y_train.size)
 
     master = SeededPrng(seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import stratified_fold_indices, fold_assignment_hash
+from .data import fold_assignment_hash, move_rows_back, move_rows_last, stratified_fold_indices
 from .errors import ConfigError, ShapeError
 
 VARIANTS = ("euclidean", "manhattan", "hamming", "minkowski")
@@ -156,7 +156,10 @@ class CvReport:
 
 
 def _fold_sorted_labels(features, labels, assignment, folds, metric, max_k):
-    """Per fold: validation-row neighbour labels sorted by (distance, index)."""
+    """Per fold: validation-row neighbour labels sorted by (distance, index).
+
+    Each fold moves its validation rows behind the training rows of features,
+    searches the two views, and moves them back, even if the search raises."""
     per_fold = []
     for f in range(folds):
         val = np.flatnonzero(assignment == f)
@@ -164,7 +167,11 @@ def _fold_sorted_labels(features, labels, assignment, folds, metric, max_k):
         if train.size < max_k:
             raise ConfigError(f"fold {f} leaves only {train.size} training samples, "
                               f"fewer than k={max_k}")
-        order = _nearest(metric, features[val], features[train], max_k)
+        front = move_rows_last(features, val)
+        try:
+            order = _nearest(metric, features[front:], features[:front], max_k)
+        finally:
+            move_rows_back(features, val)
         per_fold.append((labels[train][order], labels[val]))
     return per_fold
 
@@ -197,10 +204,13 @@ def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
     """Stratified k-fold cross-validation for each k, all sharing one fold assignment.
 
     Neighbour lists are computed once up to max(k_values), so sweep curves
-    are directly comparable and cheap.
+    are directly comparable and cheap. A writable C-ordered float64 features is
+    searched in place, not copied: its rows are moved during the call and are
+    bitwise restored before the call returns or raises. Any other input is
+    copied once.
     """
     k_values = check_sweep(k_values, folds)
-    features = np.asarray(features, dtype=np.float64)
+    features = np.require(features, np.float64, ["C", "W"])
     labels = np.asarray(labels)
     _check_training_set(features, labels)
     assignment = stratified_fold_indices(labels, folds, seed)

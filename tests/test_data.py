@@ -1,15 +1,20 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellgrade import data, harness, imaging, png
 from cellgrade.data import (
     fold_assignment_hash,
     load_dataset,
+    move_rows_back,
+    move_rows_last,
     stratified_fold_indices,
     synth_generate,
     train_val_split_indices,
@@ -155,6 +160,61 @@ def test_split_union_restores_everything(tmp_path):
 def test_split_rejects_bad_fraction():
     with pytest.raises(ConfigError):
         train_val_split_indices(np.array([0, 1]), 1.5, seed=0)
+
+
+# -- in-place row moves ---------------------------------------------------------
+
+# quiet and signalling NaNs with payloads, -0.0, 0.0 and the infinities, as bits
+SPECIAL_BITS = [0x7FF8_0000_0000_0001, 0xFFF0_0000_DEAD_BEEF, 0x7FF0_0000_0000_0001,
+                0x8000_0000_0000_0000, 0, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000]
+
+
+def check_round_trip(x, rows):
+    before = x.copy()
+    others = np.setdiff1d(np.arange(x.shape[0]), rows)
+    front = move_rows_last(x, rows)
+    assert front == others.size
+    assert x[:front].tobytes() == before[others].tobytes()
+    assert x[front:].tobytes() == before[rows].tobytes()
+    move_rows_back(x, rows)
+    assert x.tobytes() == before.tobytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_moves_round_trip_bit_for_bit(data):
+    n = data.draw(st.integers(0, 40))
+    d = data.draw(st.integers(1, 3))
+    words = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
+    x = np.array(data.draw(st.lists(words, min_size=n * d, max_size=n * d)),
+                 dtype=np.uint64).view(np.float64).reshape(n, d)
+    rows = sorted(data.draw(st.sets(st.integers(0, n - 1))) if n else [])
+    check_round_trip(x, np.array(rows, dtype=np.intp))
+
+
+@pytest.mark.parametrize("pick", ["none", "all", "first", "last", "odd"])
+def test_row_moves_round_trip_on_edge_sets(pick):
+    # tensors of any rank move by their first axis, as cmd_cnn_train's (N, H, W, 3) do
+    x = np.arange(9 * 2 * 3, dtype=np.float32).reshape(9, 2, 3) - 20
+    x[0, 0, 0], x[4, 1, 2] = -0.0, np.nan
+    rows = {"none": [], "all": range(9), "first": [0], "last": [8], "odd": range(1, 9, 2)}[pick]
+    check_round_trip(x, np.array(list(rows), dtype=np.intp))
+
+
+@pytest.mark.parametrize("rows", [[0], [1, 200], list(range(128, 256))], ids=["first", "two", "back-half"])
+def test_row_moves_copy_only_the_moved_rows(rows):
+    """No temporary is larger than the moved rows: overlapping slice copies,
+    which numpy buffers whole, never happen."""
+    x = np.random.default_rng(3).normal(size=(256, 1024))
+    row_bytes = x[0].nbytes
+    for move in (move_rows_last, move_rows_back):
+        tracemalloc.start()
+        try:
+            move(x, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (len(rows) + 1) * row_bytes, (move.__name__, peak / row_bytes)
 
 
 # -- synthetic generator ---------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 import cellgrade.nn as nn
 from cellgrade import harness, imaging, png
 from cellgrade.cli import build_parser, main, parse_k_list
-from cellgrade.data import load_dataset, train_val_split_indices
+from cellgrade.data import load_dataset, synth_generate, train_val_split_indices
 from cellgrade.errors import ConfigError, DataError, IntegrityError
 from cellgrade.harness import (
     load_checkpoint,
@@ -383,6 +383,29 @@ def test_cmd_cnn_train_epochs_zero(small_synth, tmp_path):
     assert body == ["epoch,train_loss,train_acc,val_loss,val_acc"]
     assert out["curve"] == []
     load_checkpoint(tmp_path / "cnn.ckpt", nn.reduced_network())
+
+
+def test_cmd_cnn_train_holds_its_tensors_once(tmp_path):
+    """The train and validation splits are views of the decoded tensors: the
+    split copies only the validation rows, for a moment."""
+    synth = tmp_path / "synth"
+    n = 800
+    synth_generate(synth, n, 0.5, 32, seed=7)
+    net = nn.reduced_network()
+    side = net.input_shape[0]
+    tensors = n * side * side * 3 * 4
+    val_frac = 0.2
+    tracemalloc.start()
+    try:
+        harness.cmd_cnn_train(synth, reduced=True, epochs=0, seed=1, val_frac=val_frac,
+                              out_prefix=str(tmp_path / "cnn"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the model: float32 parameters, their two Adam moments and the temporaries
+    # of their initialisation and of one decode and one checkpoint write
+    model = 8 * nn.count_params(net)[0] * 4
+    assert peak < tensors * (1 + val_frac) + model, (peak / tensors, model / tensors)
 
 
 def test_cmd_cnn_train_makes_learning_progress(small_synth, tmp_path):

@@ -334,7 +334,9 @@ def test_batched_paths_match_the_row_kernel_bytewise(data, variant):
         assignment = stratified_fold_indices(y, folds, 0)
         k = data.draw(st.integers(1, min(np.sum(assignment != f) for f in range(folds))))
         # train indices stand in for labels, so the fold scorer hands back its order
+        before = x.tobytes()
         per_fold = knn._fold_sorted_labels(x, np.arange(n), assignment, folds, metric, k)
+        assert x.tobytes() == before  # every fold's row moves are undone, NaN payloads included
         for f, (order, val) in enumerate(per_fold):
             train = np.flatnonzero(assignment != f)
             for row, v in zip(order, val):
@@ -412,6 +414,57 @@ def test_nearest_memory_is_a_few_train_matrices(metric):
         tracemalloc.stop()
     bound = 3 * m * n * 8 * (metric is EUCLIDEAN) + 2 * knn._ROW_BLOCK * d * 8 + 8 * n * 8
     assert peak < bound, peak / bound
+
+
+@pytest.mark.parametrize("metric", [EUCLIDEAN, MANHATTAN, minkowski(2.5), HAMMING], ids=lambda m: m.label)
+def test_k_sweep_memory_is_one_folds_rows_and_a_search(metric):
+    """A sweep moves each fold's rows in place: beyond what _nearest holds, it
+    copies one fold's validation rows, never the training rows."""
+    n, d, folds = 400, 1024, 4
+    rng = np.random.default_rng(17)
+    x, y = rng.uniform(size=(n, d)), np.arange(n) % 2
+    tracemalloc.start()
+    try:
+        k_sweep(x, y, [1, 5], folds, metric)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m, train = n // folds, n - n // folds  # every fold holds exactly n / folds rows here
+    search = 3 * m * train * 8 * (metric is EUCLIDEAN) + 2 * knn._ROW_BLOCK * d * 8 + 8 * train * 8
+    assert peak < m * d * 8 + search, peak / (m * d * 8 + search)
+
+
+def test_k_sweep_restores_its_features_when_a_search_raises(monkeypatch):
+    rng = np.random.default_rng(18)
+    x, y = rng.normal(size=(40, 6)), np.arange(40) % 2
+    x[3, 2], x[7, 0] = np.nan, -0.0
+    before = x.copy()
+    calls = []
+    search = knn._nearest
+
+    def second_call_raises(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("second fold")
+        return search(*args)
+
+    monkeypatch.setattr(knn, "_nearest", second_call_raises)
+    with pytest.raises(RuntimeError, match="second fold"):
+        k_sweep(x, y, [3], folds=4)
+    assert len(calls) == 2 and x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["read-only", "fortran", "float32"])
+def test_k_sweep_copies_inputs_it_cannot_move_rows_of(layout):
+    rng = np.random.default_rng(19)
+    x, y = rng.normal(size=(30, 5)), np.arange(30) % 2
+    given_x = {"read-only": x.copy(), "fortran": np.asfortranarray(x),
+               "float32": x.astype(np.float32)}[layout]
+    given_x.setflags(write=layout != "read-only")
+    before = given_x.copy(order="K")
+    expected = k_sweep(np.array(given_x, np.float64, order="C"), y, [1, 3], 3, MANHATTAN, seed=4)
+    assert k_sweep(given_x, y, [1, 3], 3, MANHATTAN, seed=4) == expected
+    assert given_x.tobytes(order="A") == before.tobytes(order="A")
 
 
 def test_non_binary_labels_rejected():
