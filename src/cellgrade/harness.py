@@ -190,14 +190,20 @@ def _entry_header(name: str, shape) -> bytes:
 def save_checkpoint(params: ParamState, net: NetworkSpec, path) -> None:
     """Serialize the weights and batch-norm statistics, not Adam's state; bit-exact round trip.
 
-    The file is hashed and written tensor by tensor: each chunk is a header's
-    bytes or a view of a tensor's own buffer, so no copy of the payload is made.
+    The format stores float32 only, so a state holding any other dtype is
+    refused with a ConfigError before a file is opened, not rounded. The file
+    is hashed and written tensor by tensor: each chunk is a header's bytes or
+    a view of a tensor's own buffer, so no copy of the payload is made.
     """
     layout = list(_layout(net))
+    tensors = [np.asarray(params.layers[i][key]) for _, i, key, _ in layout]
+    for (name, *_), arr in zip(layout, tensors):
+        if arr.dtype.type is not np.float32:
+            raise ConfigError(f"tensor {name!r} is {arr.dtype}; checkpoints store float32 states only")
     chunks = [CHECKPOINT_MAGIC, struct.pack("<IQI", CHECKPOINT_VERSION, spec_digest(net), len(layout))]
-    for name, i, key, _ in layout:
-        # a view when the tensor is C-contiguous little-endian float32, as Adam keeps it
-        arr = np.ascontiguousarray(params.layers[i][key], dtype="<f4")
+    for (name, *_), arr in zip(layout, tensors):
+        # a view when the tensor is C-contiguous and little-endian, as Adam keeps it
+        arr = np.ascontiguousarray(arr, dtype="<f4")
         # its own shape: a mismatch fails to load
         chunks += [_entry_header(name, arr.shape), memoryview(arr).cast("B")]
     digest = hashlib.sha256()

@@ -10,6 +10,7 @@ does not depend on the BLAS kernel.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,10 +180,12 @@ def _fold_sorted_labels(features, labels, assignment, folds, metric, max_k):
 def check_sweep(k_values, folds: int) -> list[int]:
     """k_values as ints, once they are known to be distinct and >= 1 and folds >= 2.
 
-    A sweep's callers run this before any costly work, such as decoding a
-    dataset; the messages name a bad value, never the whole list.
+    Each must be an integer, as operator.index takes it (numpy's too); a float
+    or a string is refused, not rounded. A sweep's callers run this before any
+    costly work, such as decoding a dataset; the messages name a bad value,
+    never the whole list.
     """
-    k_values = [int(k) for k in k_values]
+    k_values = [_integer("k", k) for k in k_values]
     if not k_values:
         raise ConfigError("k_values must be non-empty")
     bad = [k for k in k_values if k < 1]
@@ -194,9 +197,16 @@ def check_sweep(k_values, folds: int) -> list[int]:
         if k in seen:
             raise ConfigError(f"k={k} is listed more than once; each k gets one row per fold")
         seen.add(k)
-    if folds < 2:
+    if _integer("folds", folds) < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
     return k_values
+
+
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,

@@ -179,9 +179,9 @@ def _unfilter_wavefront(data: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
     pixel (y, d - y) at slot y + 1, the row above at slot 0, and zero in
     slots that hold no pixel. Left and up are then line d + 1 at slots y + 1
     and y, up-left is line d at slot y. None rows go in as Sub rows of their
-    differences along x. Sub, Up or Average rows alone add their prediction,
-    any other diagonal up-left plus ``_DELTAS`` at its key, offset by row
-    where types differ. Tall images run in bands of max(2 * width, 64) rows,
+    differences along x. Average rows alone add their prediction, any other
+    diagonal up-left plus ``_DELTAS`` at its key, offset by row type unless
+    all are Paeth. Tall images run in bands of max(2 * width, 64) rows,
     so the skewed copy stays within three times a band's bytes or a fixed size.
     """
     height, width, bpp = data.shape
@@ -212,14 +212,12 @@ def _unfilter_wavefront(data: np.ndarray, ftypes: np.ndarray) -> np.ndarray:
             kind = kinds[y0] if run[y0] == run[y1 - 1] else 0  # 0: rows of several types
             if kind == 3:  # (left + up) >> 1 without leaving uint8
                 cur += (left & up) + ((left ^ up) >> 1)
-            elif kind in (1, 2):
-                cur += left if kind == 1 else up
             else:
                 upleft = line0[lo:hi]
                 key = _KEY_LEFT.take(left)
                 key += up
                 key -= _KEY_UPLEFT.take(upleft)
-                if not kind:
+                if kind != 4:  # Paeth's block is at offset 0
                     key += block[lo:hi]
                 cur += upleft + _DELTAS.take(key)
         out[r0 : r0 + n_rows] = pixels[:n_rows]

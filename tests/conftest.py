@@ -1,7 +1,13 @@
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from cellgrade import data, png
+from cellgrade import data
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="session")
@@ -12,20 +18,25 @@ def small_synth(tmp_path_factory):
     return root
 
 
-def write_png(path, pixels: np.ndarray) -> None:
-    path.write_bytes(png.encode_rgb8(pixels.astype(np.uint8)))
+@pytest.fixture(scope="session")
+def demo_stdout(tmp_path_factory):
+    """demo_stdout(stem): the stdout of demos/<stem>.py, run as a script once per session.
 
+    Each run has warnings as errors and a private TMPDIR; every call asserts
+    that it exited 0 and left that directory empty.
+    """
+    runs = {}
 
-@pytest.fixture
-def solid_png(tmp_path):
-    """Factory for single-color PNG files."""
+    def run(stem: str) -> str:
+        if stem not in runs:
+            tmp = tmp_path_factory.mktemp(stem)
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error", TMPDIR=str(tmp))
+            proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{stem}.py")], cwd=ROOT,
+                                  env=env, capture_output=True, text=True, timeout=300)
+            runs[stem] = proc, [p.name for p in tmp.iterdir()]
+        proc, left = runs[stem]
+        assert proc.returncode == 0, proc.stderr
+        assert left == []
+        return proc.stdout
 
-    def make(name, rgb, size=(6, 6)):
-        h, w = size
-        pixels = np.zeros((h, w, 3), dtype=np.uint8)
-        pixels[:] = rgb
-        p = tmp_path / name
-        write_png(p, pixels)
-        return p
-
-    return make
+    return run

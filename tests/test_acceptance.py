@@ -2,13 +2,18 @@
 
 Each criterion prints a single "criterion N PASS/FAIL" line (visible with
 pytest -s; always visible on failure). Criteria 1-6 are self-contained and
-run at desk scale. Criterion 7 needs the public 27,558-image corpus and is
+run at desk scale. The desk run of criteria 5 and 6 is made twice: once here
+in desk_run, in process, and once by demos/05_train_and_compare.py as a
+script, which criterion 6 reads as its fresh-process rerun (the demo runs
+once per session, shared with tests/test_demos.py through conftest's
+demo_stdout). Criterion 7 needs the public 27,558-image corpus and is
 skipped unless CELLGRADE_NIH_DIR points at it; its CNN leg extrapolates to
 35-61 minutes on a 2-core CPU (see its docstring).
 
 Run with:  pytest tests/test_acceptance.py -v -s
 """
 
+import hashlib
 import math
 import os
 
@@ -30,23 +35,19 @@ def report(num: int, ok: bool, text: str):
 
 
 @pytest.fixture(scope="module")
-def synth600(tmp_path_factory):
-    root = tmp_path_factory.mktemp("acceptance_synth")
-    data.synth_generate(root, SYNTH_N, 0.5, side=64, seed=SYNTH_SEED)
-    return root
-
-
-@pytest.fixture(scope="module")
-def desk_run(synth600, tmp_path_factory):
-    """First full desk-scale run; shared by criteria 5 and 6."""
+def desk_run(tmp_path_factory):
+    """The desk run of criteria 5 and 6, made as demo 05 makes it: from inside its
+    directory, with the dataset at the relative path "dataset"."""
     out = tmp_path_factory.mktemp("acceptance_run")
-    hist = harness.cmd_knn(synth600, "hist", EUCLIDEAN, [10], folds=4, seed=SYNTH_SEED,
-                           out_prefix=str(out / "knn_hist"))
-    raw = harness.cmd_knn(synth600, "raw", EUCLIDEAN, [10], folds=4, seed=SYNTH_SEED,
-                          out_prefix=str(out / "knn_raw"))
-    cnn = harness.cmd_cnn_train(synth600, reduced=True, epochs=10, batch_size=32,
-                                lr=1e-3, seed=SYNTH_SEED, val_frac=0.2,
-                                out_prefix=str(out / "cnn"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(out)
+        data.synth_generate("dataset", SYNTH_N, 0.5, side=64, seed=SYNTH_SEED)
+        hist = harness.cmd_knn("dataset", "hist", EUCLIDEAN, [10], folds=4, seed=SYNTH_SEED,
+                               out_prefix="knn_hist")
+        raw = harness.cmd_knn("dataset", "raw", EUCLIDEAN, [10], folds=4, seed=SYNTH_SEED,
+                              out_prefix="knn_raw")
+        cnn = harness.cmd_cnn_train("dataset", reduced=True, epochs=10, batch_size=32,
+                                    lr=1e-3, seed=SYNTH_SEED, val_frac=0.2, out_prefix="cnn")
     return {"dir": out, "hist": hist, "raw": raw, "cnn": cnn}
 
 
@@ -241,31 +242,25 @@ def test_criterion_5b_cnn_tops_both(desk_run):
 
 # -- criterion 6: determinism --------------------------------------------------------------
 
-def test_criterion_6_bit_identical_reruns(desk_run, synth600, tmp_path):
-    first = desk_run["dir"]
-    harness.cmd_knn(synth600, "hist", EUCLIDEAN, [10], folds=4, seed=SYNTH_SEED,
-                    out_prefix=str(tmp_path / "knn_hist"))
-    harness.cmd_knn(synth600, "raw", EUCLIDEAN, [10], folds=4, seed=SYNTH_SEED,
-                    out_prefix=str(tmp_path / "knn_raw"))
-    harness.cmd_cnn_train(synth600, reduced=True, epochs=10, batch_size=32, lr=1e-3,
-                          seed=SYNTH_SEED, val_frac=0.2, out_prefix=str(tmp_path / "cnn"))
-    same = all(
-        (first / name).read_bytes() == (tmp_path / name).read_bytes()
-        for name in ("knn_hist.csv", "knn_raw.csv", "cnn.csv", "cnn.ckpt")
-    )
-
-    # checkpoint round trip preserves eval logits bit-exactly
-    net = nn.reduced_network()
-    params, _ = harness.load_checkpoint(first / "cnn.ckpt", net)
-    ds = data.load_dataset(synth600)
-    x, y, _ = harness.load_tensor_batch(ds, 32)
-    logits_a, _ = nn.network_forward(net, params, x[:64])
-    harness.save_checkpoint(params, net, tmp_path / "resaved.ckpt")
-    reloaded, _ = harness.load_checkpoint(tmp_path / "resaved.ckpt", net)
-    logits_b, _ = nn.network_forward(net, reloaded, x[:64])
-    roundtrip = np.array_equal(logits_a, logits_b)
+def test_criterion_6_bit_identical_reruns(desk_run, demo_stdout):
+    """Demo 05 reruns the desk run in a fresh process; its printed digests must
+    equal those of desk_run's six files, and its checkpoint round trip must
+    keep the eval logits bit-identical. A file without a digest line fails.
+    In-process reruns are checked at 120 images in tests/test_harness.py
+    (test_cmd_knn_rerun_is_byte_identical, test_cmd_cnn_train_rerun_byte_identical)."""
+    stdout = demo_stdout("05_train_and_compare")
+    printed = {}
+    for line in stdout.splitlines():
+        if line.startswith("sha256 "):
+            digest, name = line.split()[1:]
+            printed[name] = digest
+    names = ("knn_hist.csv", "knn_hist.json", "knn_raw.csv", "knn_raw.json", "cnn.csv", "cnn.ckpt")
+    same = all(printed.get(name) == hashlib.sha256((desk_run["dir"] / name).read_bytes()).hexdigest()
+               for name in names)
+    roundtrip = "eval logits bit-identical: True" in stdout
     report(6, same and roundtrip,
-           f"rerun outputs byte-identical={same}, checkpoint logits bit-identical={roundtrip}")
+           f"fresh-process rerun outputs byte-identical={same}, "
+           f"checkpoint logits bit-identical={roundtrip}")
 
 
 # -- criterion 7: extended corpus (optional) --------------------------------------------------

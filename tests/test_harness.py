@@ -87,6 +87,22 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, net_and_params):
     assert loaded.adam_m == loaded.adam_v == [{} for _ in net.layers] and loaded.step == 0
 
 
+@pytest.mark.parametrize("state,name,dtype", [
+    ("float64", "layer00/conv2d/bias", "float64"),
+    ("last float16", "layer04/dense/weights", "float16"),  # so every tensor is checked
+])
+def test_checkpoint_refuses_a_state_it_would_round(tmp_path, net_and_params, state, name, dtype):
+    # the format stores float32 only
+    net, params = net_and_params
+    if state == "float64":
+        params = nn.init_params(net, 31, dtype=np.float64)
+    else:
+        params.layers[4]["weights"] = params.layers[4]["weights"].astype(np.float16)
+    with pytest.raises(ConfigError, match=f"tensor '{name}' is {dtype}; checkpoints store float32"):
+        save_checkpoint(params, net, tmp_path / "m.ckpt")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_roundtrip_preserves_eval_logits(tmp_path, net_and_params):
     net, params = net_and_params
     x = SeededPrng(1).uniform((3, 6, 6, 3)).astype(np.float32)
@@ -324,6 +340,9 @@ def test_cmd_knn_row_count_and_schema(small_synth, tmp_path):
 @pytest.mark.parametrize("k_values,folds,match", [
     ([1, 1], 4, "listed more than once"), ([0, 3], 4, "positive"), ([], 4, "non-empty"),
     ([3], 1, "folds must be >= 2"),
+    ([2.5], 4, "^k must be an integer, got 2.5$"), (["3"], 4, "^k must be an integer, got '3'$"),
+    ([4, np.float64(3.0)], 4, "^k must be an integer, got "),
+    ([3], 2.0, "^folds must be an integer, got 2.0$"),
 ])
 def test_cmd_knn_checks_k_and_folds_before_decoding(small_synth, monkeypatch, tmp_path, k_values,
                                                     folds, match):

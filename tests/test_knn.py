@@ -267,6 +267,13 @@ def test_k_sweep_error_names_the_count_not_the_list():
     assert len(message) < 200 and "1 of 1048576" in message and "k=0" in message, message
 
 
+def test_k_sweep_takes_numpy_integers_as_ints():
+    x, y = separable_set(n=40, seed=3)
+    reports = k_sweep(x, y, [np.int64(3), np.uint8(5)], folds=np.int32(4), seed=2)
+    assert reports == k_sweep(x, y, [3, 5], folds=4, seed=2)
+    assert [type(r.k) for r in reports] == [int, int]
+
+
 def test_cross_validate_fold_too_small():
     x, y = separable_set(n=8)
     with pytest.raises(ConfigError, match="fewer than k"):

@@ -255,6 +255,8 @@ def filtered_images(draw):
 @example(((np.arange(60 * 5 * 4) % 253).astype(np.uint8).reshape(60, 5, 4), [2] * 3 + [0] + [2] * 56))
 # tall enough to run in three bands, with filter types mixed across their seams
 @example(((np.arange(150 * 2 * 3) % 241).astype(np.uint8).reshape(150, 2, 3), [4, 3, 1, 2, 0] * 30))
+# diagonals whose rows are all Sub, then all Up, ahead of the Paeth rows
+@example(((np.arange(40 * 2 * 3) % 239).astype(np.uint8).reshape(40, 2, 3), [1, 1, 2, 2] + [4] * 36))
 def test_decode_per_row_mixed_filters(case):
     pixels, ftypes = case
     color_type = 6 if pixels.shape[2] == 4 else 2
