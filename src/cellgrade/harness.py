@@ -196,12 +196,11 @@ def save_checkpoint(params: ParamState, net: NetworkSpec, path) -> None:
     a view of a tensor's own buffer, so no copy of the payload is made.
     """
     layout = list(_layout(net))
-    tensors = [np.asarray(params.layers[i][key]) for _, i, key, _ in layout]
-    for (name, *_), arr in zip(layout, tensors):
-        if arr.dtype.type is not np.float32:
-            raise ConfigError(f"tensor {name!r} is {arr.dtype}; checkpoints store float32 states only")
     chunks = [CHECKPOINT_MAGIC, struct.pack("<IQI", CHECKPOINT_VERSION, spec_digest(net), len(layout))]
-    for (name, *_), arr in zip(layout, tensors):
+    for name, i, key, _ in layout:
+        arr = np.asarray(params.layers[i][key])
+        if arr.dtype.type is not np.float32:  # raised before _atomic_write opens a file
+            raise ConfigError(f"tensor {name!r} is {arr.dtype}; checkpoints store float32 states only")
         # a view when the tensor is C-contiguous and little-endian, as Adam keeps it
         arr = np.ascontiguousarray(arr, dtype="<f4")
         # its own shape: a mismatch fails to load
