@@ -1,9 +1,10 @@
-"""Dataset ingestion, deterministic splits, in-place row moves, and a synthetic cell generator.
+"""Dataset ingestion, deterministic splits, an in-place row permutation, and a synthetic generator.
 
 The on-disk layout matches the public malaria corpus: a root directory with
 ``Parasitized/`` and ``Uninfected/`` subdirectories of PNG files. Label 0 is
 uninfected, label 1 parasitized. Enumeration order is purely lexicographic
-so a dataset lists identically on every platform.
+so a dataset lists identically on every platform. permute_rows reorders rows in
+place through one row of scratch: a k-fold sweep and a split hold data once.
 
 The synthetic generator writes the same layout at desk scale: pink elliptical
 cells on a dark background, with small purple inclusions inside parasitized
@@ -19,6 +20,7 @@ import colorsys
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +97,15 @@ def fold_assignment_hash(assignment: np.ndarray, folds: int, seed: int) -> str:
     return h.hexdigest()[:16]
 
 
+def as_integer(name: str, value) -> int:
+    """value as an int through operator.index: numpy integers pass, and a float or
+    a string is a ConfigError naming it, never rounded."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_val_fraction(val_fraction: float) -> None:
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0, 1), got {val_fraction}")
@@ -117,37 +128,26 @@ def train_val_split_indices(labels, val_fraction: float, seed: int):
     return train_idx, val_idx
 
 
-def move_rows_last(x: np.ndarray, rows) -> int:
-    """Move the rows `rows` (ascending) of x behind the others, in place; returns
-    front, the first moved row's new index. Each group keeps its order, so x[:front] is
-    the old x[others] and x[front:] the old x[rows]. Only the moved rows are
-    copied: the others shift by pieces no longer than their shift, so no piece
-    overlaps its destination and numpy needs no buffer. move_rows_back undoes it."""
-    rows = np.asarray(rows, dtype=np.intp)
-    moved = x[rows]
-    ends = np.append(rows, x.shape[0])
-    for shift in range(1, rows.size + 1):
-        lo, hi = ends[shift - 1] + 1, ends[shift]
-        for a in range(lo, hi, shift):
-            b = min(a + shift, hi)
-            x[a - shift : b - shift] = x[a:b]
-    front = x.shape[0] - rows.size
-    x[front:] = moved
-    return front
-
-
-def move_rows_back(x: np.ndarray, rows) -> None:
-    """Undo move_rows_last(x, rows) in place, copying only the moved rows."""
-    rows = np.asarray(rows, dtype=np.intp)
-    front = x.shape[0] - rows.size
-    moved = x[front:].copy()
-    ends = np.append(rows, x.shape[0])
-    for shift in range(rows.size, 0, -1):
-        lo, hi = ends[shift - 1] + 1, ends[shift]
-        for b in range(hi, lo, -shift):
-            a = max(b - shift, lo)
-            x[a:b] = x[a - shift : b - shift]
-    x[rows] = moved
+def permute_rows(x: np.ndarray, order) -> None:
+    """x[:] = x[order] in place, walking each cycle of order once through one row of
+    scratch, so every bit (NaN payloads too) is kept; np.argsort(order) undoes it.
+    Anything but a permutation of range(len(x)) is refused before a row moves:
+    a repeated index would overwrite a row that no cycle puts back."""
+    order = np.asarray(order)
+    if (order.shape != x.shape[:1] or order.dtype.kind not in "iu"
+            or np.any(np.sort(order) != np.arange(len(x)))):
+        raise ConfigError(f"row order of shape {order.shape} is not a permutation of range({len(x)})")
+    done = bytearray(len(x))
+    # a memoryview indexes as Python ints, without a copy of an intp order
+    order, scratch = memoryview(order.astype(np.intp, copy=False)), np.empty(x.shape[1:], x.dtype)
+    for start in range(len(x)):
+        if not done[start]:  # the first row of a cycle not yet walked
+            j = start
+            scratch[...] = x[start]
+            while not done[j]:
+                done[j], nxt = True, order[j]
+                x[j] = scratch if nxt == start else x[nxt]
+                j = nxt
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +258,8 @@ def synth_generate(out_dir, n: int, parasitized_fraction: float = 0.5,
     Byte-reproducible: the same (seed, n, fraction, side) always produces
     identical files. Returns the manifest dict. Refuses a tree holding other PNGs.
     """
+    n, side, seed = as_integer("n", n), as_integer("side", side), as_integer("seed", seed)
+    parasitized_fraction = float(parasitized_fraction)
     if not 2 <= n <= MAX_IMAGES:  # the names are listed before any file is written
         raise ConfigError(f"n must be 2 to {MAX_IMAGES} images, got {n}")
     if not 0.0 < parasitized_fraction < 1.0:

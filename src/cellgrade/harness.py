@@ -56,8 +56,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import (DatasetItem, check_val_fraction, load_dataset, move_rows_last, synth_generate,
-                   train_val_split_indices)
+from .data import (DatasetItem, as_integer, check_val_fraction, load_dataset, permute_rows,
+                   synth_generate, train_val_split_indices)
 from .errors import ConfigError, DataError, IntegrityError
 from .imaging import (DEFAULT_BINS, MAX_BINS, decode_image, extract_histogram_features,
                       extract_raw_features, image_to_tensor)
@@ -281,6 +281,7 @@ def cmd_knn(data_dir, features: str = "hist", metric: DistanceMetric = DistanceM
             out_prefix) -> dict:
     """Cross-validated kNN over the chosen features; writes PREFIX.csv and PREFIX.json."""
     kind = FEATURE_KINDS.get(features, features)
+    folds, seed, bins = as_integer("folds", folds), as_integer("seed", seed), as_integer("bins", bins)
     if not 1 <= bins <= MAX_BINS:
         raise ConfigError(f"bins must be 1 to {MAX_BINS}, got {bins}")
     k_values = check_sweep(k_values, folds)  # before the decode, which takes far longer
@@ -326,6 +327,8 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     end of the epoch, so a later cmd_cnn_eval over the same split reproduces
     them exactly. The checkpoint is rewritten after every epoch.
     """
+    epochs, batch_size = as_integer("epochs", epochs), as_integer("batch_size", batch_size)
+    seed, reduced, lr, val_frac = as_integer("seed", seed), bool(reduced), float(lr), float(val_frac)
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     with np.errstate(over="ignore"):
@@ -339,9 +342,9 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
     dataset = load_dataset(data_dir)
     x, y, skipped = load_tensor_batch(dataset, side)
     train_idx, val_idx = train_val_split_indices(y, val_frac, seed)
-    front = move_rows_last(x, val_idx)  # both splits are views of the one decoded array
-    x_train, y_train = x[:front], y[train_idx]
-    x_val, y_val = x[front:], y[val_idx]
+    permute_rows(x, np.concatenate([train_idx, val_idx]))  # both splits are views of the one array
+    x_train, y_train = x[: train_idx.size], y[train_idx]
+    x_val, y_val = x[train_idx.size :], y[val_idx]
     check_batch_size(net, batch_size, y_train.size)
 
     master = SeededPrng(seed)
@@ -383,6 +386,7 @@ def cmd_cnn_train(data_dir, reduced: bool = False, epochs: int = 10, batch_size:
 
 def cmd_cnn_eval(checkpoint, data_dir, *, out_path, reduced: bool = False) -> dict:
     """Eval-mode accuracy and confusion counts for a checkpoint over a dataset; writes out_path."""
+    reduced = bool(reduced)
     net = reduced_network() if reduced else reference_network()
     params, digest = load_checkpoint(checkpoint, net)
     dataset = load_dataset(data_dir)

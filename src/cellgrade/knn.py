@@ -10,12 +10,11 @@ does not depend on the BLAS kernel.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import fold_assignment_hash, move_rows_back, move_rows_last, stratified_fold_indices
+from .data import as_integer, fold_assignment_hash, permute_rows, stratified_fold_indices
 from .errors import ConfigError, ShapeError
 
 VARIANTS = ("euclidean", "manhattan", "hamming", "minkowski")
@@ -76,18 +75,17 @@ def _row_distances(metric: DistanceMetric, x: np.ndarray, q: np.ndarray, buf=Non
     euclidean: sqrt(sum((x-q)^2)); manhattan: sum(|x-q|); hamming: count of
     exactly unequal positions (meant for binary features, no thresholding);
     minkowski(p): (sum(|x-q|^p))^(1/p). Rows go through buf, a float64 scratch
-    of at least min(_ROW_BLOCK, N) rows of D, _ROW_BLOCK rows at a time; hamming
-    writes its unequal flags into the first D bytes of each of buf's rows."""
+    of at least min(_ROW_BLOCK, N) rows of D, _ROW_BLOCK rows at a time."""
     out = np.empty(x.shape[0])
     buf = np.empty((min(_ROW_BLOCK, x.shape[0]), x.shape[1])) if buf is None else buf
     for lo in range(0, x.shape[0], _ROW_BLOCK):
         rows = min(_ROW_BLOCK, x.shape[0] - lo)
+        block, diff = x[lo : lo + rows], buf[:rows]
         if metric.variant == "hamming":
-            unequal = np.not_equal(x[lo : lo + rows], q, out=buf[:rows].view(np.bool_)[:, : x.shape[1]])
-            out[lo : lo + rows] = np.count_nonzero(unequal, axis=1)
-            continue
-        diff = np.subtract(x[lo : lo + rows], q, out=buf[:rows])
-        (np.square if metric.variant == "euclidean" else np.abs)(diff, out=diff)
+            np.not_equal(block, q, out=diff)  # 0.0 or 1.0 per position: the sum is an exact count
+        else:
+            np.subtract(block, q, out=diff)
+            (np.square if metric.variant == "euclidean" else np.abs)(diff, out=diff)
         if metric.variant == "minkowski":
             diff **= metric.p
         np.sum(diff, axis=1, out=out[lo : lo + rows])
@@ -159,8 +157,9 @@ class CvReport:
 def _fold_sorted_labels(features, labels, assignment, folds, metric, max_k):
     """Per fold: validation-row neighbour labels sorted by (distance, index).
 
-    Each fold moves its validation rows behind the training rows of features,
-    searches the two views, and moves them back, even if the search raises."""
+    Each fold permutes features in place, through one row of scratch, to its
+    training rows then its validation rows, each group in index order; it
+    searches the two views and undoes the permutation, even if the search raises."""
     per_fold = []
     for f in range(folds):
         val = np.flatnonzero(assignment == f)
@@ -168,11 +167,12 @@ def _fold_sorted_labels(features, labels, assignment, folds, metric, max_k):
         if train.size < max_k:
             raise ConfigError(f"fold {f} leaves only {train.size} training samples, "
                               f"fewer than k={max_k}")
-        front = move_rows_last(features, val)
+        layout = np.concatenate([train, val])
+        permute_rows(features, layout)
         try:
-            order = _nearest(metric, features[front:], features[:front], max_k)
+            order = _nearest(metric, features[train.size:], features[: train.size], max_k)
         finally:
-            move_rows_back(features, val)
+            permute_rows(features, np.argsort(layout))
         per_fold.append((labels[train][order], labels[val]))
     return per_fold
 
@@ -185,7 +185,7 @@ def check_sweep(k_values, folds: int) -> list[int]:
     costly work, such as decoding a dataset; the messages name a bad value,
     never the whole list.
     """
-    k_values = [_integer("k", k) for k in k_values]
+    k_values = [as_integer("k", k) for k in k_values]
     if not k_values:
         raise ConfigError("k_values must be non-empty")
     bad = [k for k in k_values if k < 1]
@@ -197,16 +197,9 @@ def check_sweep(k_values, folds: int) -> list[int]:
         if k in seen:
             raise ConfigError(f"k={k} is listed more than once; each k gets one row per fold")
         seen.add(k)
-    if _integer("folds", folds) < 2:
+    if as_integer("folds", folds) < 2:
         raise ConfigError(f"folds must be >= 2, got {folds}")
     return k_values
-
-
-def _integer(name: str, value) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
 def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
@@ -215,9 +208,9 @@ def k_sweep(features: np.ndarray, labels: np.ndarray, k_values, folds: int,
 
     Neighbour lists are computed once up to max(k_values), so sweep curves
     are directly comparable and cheap. A writable C-ordered float64 features is
-    searched in place, not copied: its rows are moved during the call and are
-    bitwise restored before the call returns or raises. Any other input is
-    copied once.
+    searched in place, not copied: each fold permutes its rows through one row
+    of scratch, and they are bitwise restored before the call returns or
+    raises. Any other input is copied once.
     """
     k_values = check_sweep(k_values, folds)
     features = np.require(features, np.float64, ["C", "W"])

@@ -285,11 +285,10 @@ def test_criterion_7_extended_corpus(tmp_path):
     minutes; no corpus-scale run has measured it yet. Each decode writes its
     rows straight into one array, so the raw leg holds its 27,558 x 3072
     float64 features (677 MB) once, the hist leg 113 MB at 512 dims, and the
-    CNN leg its 64 x 64 x 3 float32 tensors (1.35 GB) once. The sweep moves
-    each fold's rows in place and copies only its validation rows: one
-    euclidean sweep over 27,558 x 3072 random rows (4 folds, k=10) peaked at
-    914 MiB ru_maxrss (the matrix is 646 MiB) and took 47-50 s on the VM
-    above.
+    CNN leg its 64 x 64 x 3 float32 tensors (1.35 GB) once. The sweep permutes
+    each fold's rows in place through one row of scratch and copies none of
+    them: one euclidean sweep over 27,558 x 3072 random rows (4 folds, k=10)
+    peaked at 812 MiB ru_maxrss (the matrix is 646 MiB) on the VM above.
     """
     raw = harness.cmd_knn(NIH_DIR, "raw", EUCLIDEAN, [10], folds=4, seed=0,
                           out_prefix=str(tmp_path / "raw"))

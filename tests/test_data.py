@@ -13,8 +13,7 @@ from cellgrade import data, harness, imaging, png
 from cellgrade.data import (
     fold_assignment_hash,
     load_dataset,
-    move_rows_back,
-    move_rows_last,
+    permute_rows,
     stratified_fold_indices,
     synth_generate,
     train_val_split_indices,
@@ -162,21 +161,18 @@ def test_split_rejects_bad_fraction():
         train_val_split_indices(np.array([0, 1]), 1.5, seed=0)
 
 
-# -- in-place row moves ---------------------------------------------------------
+# -- in-place row permutation ---------------------------------------------------
 
 # quiet and signalling NaNs with payloads, -0.0, 0.0 and the infinities, as bits
 SPECIAL_BITS = [0x7FF8_0000_0000_0001, 0xFFF0_0000_DEAD_BEEF, 0x7FF0_0000_0000_0001,
                 0x8000_0000_0000_0000, 0, 0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000]
 
 
-def check_round_trip(x, rows):
+def check_round_trip(x, order):
     before = x.copy()
-    others = np.setdiff1d(np.arange(x.shape[0]), rows)
-    front = move_rows_last(x, rows)
-    assert front == others.size
-    assert x[:front].tobytes() == before[others].tobytes()
-    assert x[front:].tobytes() == before[rows].tobytes()
-    move_rows_back(x, rows)
+    permute_rows(x, order)
+    assert x.tobytes() == before[order].tobytes()
+    permute_rows(x, np.argsort(order))
     assert x.tobytes() == before.tobytes()
 
 
@@ -188,33 +184,50 @@ def test_row_moves_round_trip_bit_for_bit(data):
     words = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
     x = np.array(data.draw(st.lists(words, min_size=n * d, max_size=n * d)),
                  dtype=np.uint64).view(np.float64).reshape(n, d)
-    rows = sorted(data.draw(st.sets(st.integers(0, n - 1))) if n else [])
-    check_round_trip(x, np.array(rows, dtype=np.intp))
+    # any integer dtype, byte-swapped too, is taken as the row order
+    dtype = data.draw(st.sampled_from([np.intp, np.uint8, ">i4"]))
+    check_round_trip(x, np.array(data.draw(st.permutations(range(n))), dtype=dtype))
 
 
 @pytest.mark.parametrize("pick", ["none", "all", "first", "last", "odd"])
 def test_row_moves_round_trip_on_edge_sets(pick):
-    # tensors of any rank move by their first axis, as cmd_cnn_train's (N, H, W, 3) do
+    """The layouts a fold or a split makes: the other rows, then the picked
+    ones. Tensors of any rank move by their first axis, as cmd_cnn_train's
+    (N, H, W, 3) do."""
     x = np.arange(9 * 2 * 3, dtype=np.float32).reshape(9, 2, 3) - 20
     x[0, 0, 0], x[4, 1, 2] = -0.0, np.nan
     rows = {"none": [], "all": range(9), "first": [0], "last": [8], "odd": range(1, 9, 2)}[pick]
-    check_round_trip(x, np.array(list(rows), dtype=np.intp))
+    picked = np.isin(np.arange(9), list(rows))
+    check_round_trip(x, np.concatenate([np.flatnonzero(~picked), np.flatnonzero(picked)]))
 
 
-@pytest.mark.parametrize("rows", [[0], [1, 200], list(range(128, 256))], ids=["first", "two", "back-half"])
-def test_row_moves_copy_only_the_moved_rows(rows):
-    """No temporary is larger than the moved rows: overlapping slice copies,
-    which numpy buffers whole, never happen."""
-    x = np.random.default_rng(3).normal(size=(256, 1024))
-    row_bytes = x[0].nbytes
-    for move in (move_rows_last, move_rows_back):
-        tracemalloc.start()
-        try:
-            move(x, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (len(rows) + 1) * row_bytes, (move.__name__, peak / row_bytes)
+@pytest.mark.parametrize("order", [[0, 2, 2, 1], [0, 1, 2, 4], [0, 1, 2], [0, 1, 2, 3.0], [[0, 1], [2, 3]]],
+                         ids=["repeated", "out-of-range", "short", "float", "rank-2"])
+def test_permute_rows_refuses_a_non_permutation(order):
+    """Refused before a row moves, so no row is lost to a repeated index."""
+    x = np.arange(8.0).reshape(4, 2)
+    with pytest.raises(ConfigError, match=r"^row order of shape .* is not a permutation of range\(4\)$"):
+        permute_rows(x, order)
+    assert x.tolist() == np.arange(8.0).reshape(4, 2).tolist()
+
+
+@pytest.mark.parametrize("order", ["reverse", "one-cycle", "fold"])
+def test_row_moves_use_one_row_of_scratch(order):
+    """Beyond the index arrays (order, its sort and the cycle flags), a
+    permutation holds one row: no fancy-indexed copy, no slice copy."""
+    n = 256
+    x = np.random.default_rng(3).normal(size=(n, 1024))
+    val = np.arange(n) % 4 == 1
+    order = {"reverse": np.arange(n)[::-1], "one-cycle": np.roll(np.arange(n), 1),
+             "fold": np.concatenate([np.flatnonzero(~val), np.flatnonzero(val)])}[order]
+    tracemalloc.start()
+    try:
+        permute_rows(x, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    index_arrays = 3 * order.nbytes
+    assert peak < 2 * x[0].nbytes + index_arrays, (peak - index_arrays) / x[0].nbytes
 
 
 # -- synthetic generator ---------------------------------------------------------------
@@ -232,10 +245,10 @@ def test_synth_counts_and_manifest(tmp_path):
 
 def test_synth_byte_identical_across_runs(tmp_path):
     synth_generate(tmp_path / "a", 20, 0.5, side=20, seed=3)
-    synth_generate(tmp_path / "b", 20, 0.5, side=20, seed=3)
-    for p in sorted((tmp_path / "a").rglob("*.png")):
-        q = tmp_path / "b" / p.relative_to(tmp_path / "a")
-        assert p.read_bytes() == q.read_bytes()
+    synth_generate(tmp_path / "b", np.int64(20), np.float32(0.5), side=np.uint8(20), seed=np.int32(3))
+    a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")  # numpy scalars: the same bytes
+    assert len(a) == 21 and [p.relative_to(tmp_path / "b") for p in b] == [p.relative_to(tmp_path / "a") for p in a]
+    assert list(a.values()) == list(b.values())
 
 
 def test_synth_different_seeds_differ(tmp_path):
@@ -255,6 +268,11 @@ def test_synth_parameter_validation(tmp_path):
         synth_generate(tmp_path, 10, 0.5, side=4)
     with pytest.raises(ConfigError, match="n must be 2 to 1048576 images"):
         synth_generate(tmp_path, 10**12, 0.5)  # refused before its names are listed
+    for bad, match in [({"n": 10.0}, "^n must be an integer, got 10.0$"),
+                       ({"side": 16.0}, "^side must be an integer, got 16.0$"),
+                       ({"seed": 1.5}, "^seed must be an integer, got 1.5$")]:
+        with pytest.raises(ConfigError, match=match):
+            synth_generate(tmp_path, **{"n": 10, "parasitized_fraction": 0.5, **bad})
     assert not any(tmp_path.iterdir())
 
 

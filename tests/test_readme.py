@@ -1,7 +1,11 @@
 """README's "Library quick start" block runs as written, in a directory that
 holds the files it names: cell.png and a data/synth dataset. Its Results
-table's seed-42 column is what demo 05 prints."""
+table's seed-42 column is what demo 05 prints. Every module.name and repo path
+it puts in backticks exists."""
 
+import importlib
+import pkgutil
+import re
 import shutil
 from pathlib import Path
 
@@ -9,7 +13,8 @@ import numpy as np
 
 from cellgrade import data
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def quick_start() -> str:
@@ -47,3 +52,34 @@ def test_readme_results_seed42_column_is_what_demo_05_prints(demo_stdout):
         "gap (histogram − raw)": f"{printed['hist'] - printed['raw']:.3f}",
         "CNN validation, last epoch": f"{printed['cnn']:.3f}",
     }
+
+
+def backticked() -> list[str]:
+    """README's inline code spans, outside its fenced blocks."""
+    prose = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
+    return re.findall(r"`([^`\n]+)`", prose)
+
+
+def test_readme_names_only_what_exists():
+    """A `module.name` (with or without `cellgrade.`) imports and has the name;
+    a path under src/, tests/, demos/ or perfbench/, or a cellgrade/ one read
+    under src/, exists."""
+    modules = {m.name for m in pkgutil.iter_modules([str(ROOT / "src" / "cellgrade")])}
+    names, paths = set(), set()
+    for span in backticked():
+        dotted = re.fullmatch(r"(?:cellgrade\.)?(\w+)\.(\w+(?:\.\w+)*)", span)
+        if dotted and dotted[1] in modules:
+            names.add(dotted.group(1, 2))
+        elif re.match(r"(src|tests|demos|perfbench|cellgrade)/", span):
+            paths.add(span)
+    assert names and paths  # the patterns still find what they check
+    missing = []
+    for module, attrs in sorted(names):
+        obj = importlib.import_module(f"cellgrade.{module}")
+        for attr in attrs.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(f"{module}.{attrs}")
+    missing += [p for p in sorted(paths)
+                if not (ROOT / ("src/" if p.startswith("cellgrade/") else "") / p).exists()]
+    assert not missing, missing
